@@ -255,16 +255,20 @@ def _cmd_serve(args) -> int:
         from .slo import SLOPolicy
 
         slo = SLOPolicy(max_workers=max(args.workers, 1))
-    config = ServiceConfig(
-        backend=args.backend,
-        workers=args.workers if slo is None else slo.min_workers,
-        queue_size=args.queue_size,
-        cache_size=cache_size,
-        options=ExecOptions(delta=True) if args.delta else None,
-        coalesce_window=args.coalesce_window,
-        max_batch=args.max_batch,
-        slo=slo,
-    )
+    try:
+        config = ServiceConfig(
+            backend=args.backend,
+            workers=args.workers if slo is None else slo.min_workers,
+            queue_size=args.queue_size,
+            cache_size=cache_size,
+            options=ExecOptions(delta=True) if args.delta else None,
+            coalesce_window=args.coalesce_window,
+            max_batch=args.max_batch,
+            slo=slo,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     with fault_ctx, SolveService(_platform(args.platform), config=config) as svc:
         pending = []
         shed = 0
@@ -632,7 +636,7 @@ def main(argv: list[str] | None = None) -> int:
                         "the workload as near-duplicate traffic: each cycle "
                         "re-requests the mix with a one-element payload edit, "
                         "served by patching the cached base's invalidation "
-                        "cone (see docs/delta-solving.md)")
+                        "cone (thread backend only; see docs/delta-solving.md)")
     p.set_defaults(fn=_cmd_serve)
 
     p = sub.add_parser(

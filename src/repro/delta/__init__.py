@@ -50,7 +50,7 @@ from .cone import (
     probe_seeds,
     verify_locality,
 )
-from .diff import payload_diff
+from .diff import payload_diff, payload_distance
 from .key import delta_key
 from .patch import delta_applicable, delta_patch
 from .timing import delta_makespan, delta_timeline
@@ -58,6 +58,7 @@ from .timing import delta_makespan, delta_timeline
 __all__ = [
     "delta_key",
     "payload_diff",
+    "payload_distance",
     "probe_cells",
     "probe_seeds",
     "candidate_mask",

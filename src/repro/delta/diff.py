@@ -16,18 +16,22 @@ diff could describe.  Beyond seeding, the diff contributes
   family; patching across them is legal but rarely a win, so we surface
   ``DeltaUnsupported`` and let the serve layer run the full solve;
 * **stats** — how many entries/elements were edited, reported alongside the
-  cone size so operators can see edit-size → cone-size amplification.
+  cone size so operators can see edit-size → cone-size amplification;
+* a **distance** — :func:`payload_distance`, the edited-element count the
+  serve cache ranks a near-match key's bases by, so each request patches
+  against its own document's latest version.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Any, Mapping
 
 import numpy as np
 
 from ..errors import DeltaUnsupported
 
-__all__ = ["payload_diff"]
+__all__ = ["payload_diff", "payload_distance"]
 
 
 def _entry_diff(a: Any, b: Any) -> tuple[int, np.ndarray | None]:
@@ -94,3 +98,12 @@ def payload_diff(
         "edited_elements": edited_elements,
         "changed": changed,
     }
+
+
+def payload_distance(base: Mapping[str, Any], new: Mapping[str, Any]) -> float:
+    """How many payload elements differ: ``payload_diff``'s edited-element
+    count, or ``inf`` when the payloads are not structurally comparable."""
+    try:
+        return payload_diff(base, new)["edited_elements"]
+    except DeltaUnsupported:
+        return math.inf

@@ -9,18 +9,41 @@ A delta patch performs
   ``evaluate_span`` dispatch, so the Python-level wave loop is charged at
   the CPU model's fork cost, like the rowscan path).
 
-The same numbers feed the patched result's ``simulated_time``/timeline and
-the SLO admission price (:func:`delta_makespan`), so near-duplicate traffic
-is priced as the cone it will actually recompute, not as the full sweep it
-avoids.
+Both the patched result's ``simulated_time``/timeline and the SLO
+admission price (:func:`delta_makespan`) are built from one list of cost
+terms (:func:`_cost_terms`), so for the same cone, wave count and probe the
+price equals the timeline's makespan: near-duplicate traffic is priced as
+the cone it will actually recompute, not as the full sweep it avoids.
 """
 
 from __future__ import annotations
 
 from ..core.problem import LDDPProblem
+from ..exec.base import ExecOptions
+from ..patterns.registry import strategy_for
 from ..sim.engine import Engine
 
 __all__ = ["delta_timeline", "delta_makespan"]
+
+
+def _cost_terms(
+    problem: LDDPProblem, platform, cone_cells: int, waves: int,
+    probed_cells: int,
+) -> list[tuple[str, float]]:
+    """The patch's serial ``(label, seconds)`` terms: probe, then replay."""
+    cpu = platform.cpu
+    terms = []
+    if probed_cells > 0:
+        terms.append(
+            ("delta.probe", cpu.parallel_time(probed_cells, problem.cpu_work))
+        )
+    if cone_cells > 0:
+        terms.append((
+            "delta.patch",
+            cpu.parallel_time(cone_cells, problem.cpu_work)
+            + waves * cpu.fork_us * 1e-6,
+        ))
+    return terms
 
 
 def delta_timeline(
@@ -38,21 +61,13 @@ def delta_timeline(
     declares read locality, the whole computed region otherwise (also the
     default, matching the declaration-free worst case).
     """
-    cpu = platform.cpu
     if probed_cells is None:
         probed_cells = problem.total_computed_cells
     engine = Engine()
-    if probed_cells > 0:
-        engine.task(
-            "cpu",
-            cpu.parallel_time(probed_cells, problem.cpu_work),
-            label="delta.probe",
-            kind="compute",
-        )
-    if cone_cells > 0:
-        patch = cpu.parallel_time(cone_cells, problem.cpu_work)
-        patch += waves * cpu.fork_us * 1e-6
-        engine.task("cpu", patch, label="delta.patch", kind="compute")
+    for label, seconds in _cost_terms(
+        problem, platform, cone_cells, waves, probed_cells
+    ):
+        engine.task("cpu", seconds, label=label, kind="compute")
     return engine.run()
 
 
@@ -66,19 +81,27 @@ def delta_makespan(
     """Closed-form seconds for one delta patch (the admission price).
 
     The true cone is unknown at admission time, so the price assumes the
-    SLO policy's expected ``cone_fraction`` of the computed region; the
-    EWMA calibration (:meth:`repro.slo.pricing.Pricer.observe`) then pulls
-    the price toward the traffic's real cone sizes.  A problem with a
-    ``payload_locality`` declaration is priced with a cone-sized probe
-    (the candidate set tracks the edit); one without pays the full-table
-    probe pass.  ``options`` is accepted for signature parity with the
-    other pricing models.
+    SLO policy's expected ``cone_fraction`` of the computed region, replayed
+    over the same fraction of the schedule's wavefronts; the EWMA
+    calibration (:meth:`repro.slo.pricing.Pricer.observe`) then pulls the
+    price toward the traffic's real cone sizes. A problem with a
+    ``payload_locality`` declaration is priced with a cone-sized probe (the
+    candidate set tracks the edit); one without pays the full-table probe
+    pass. ``options`` picks the schedule, as for the patch itself.
     """
-    cpu = platform.cpu
     cells = problem.total_computed_cells
     cone = max(0, int(cone_fraction * cells))
     probe = cone if problem.payload_locality else cells
-    total = cpu.parallel_time(probe, problem.cpu_work) if probe else 0.0
+    waves = 0
     if cone:
-        total += cpu.parallel_time(cone, problem.cpu_work)
-    return total
+        opts = options or ExecOptions()
+        schedule = strategy_for(
+            problem,
+            pattern_override=opts.pattern_override,
+            inverted_l_as_horizontal=opts.inverted_l_as_horizontal,
+        ).schedule
+        waves = round(cone_fraction * schedule.num_iterations)
+    return sum(
+        seconds for _, seconds in _cost_terms(problem, platform, cone, waves,
+                                              probe)
+    )

@@ -8,17 +8,21 @@ the bit-for-bit-equality guarantee of the service's cache-hit path rests on
 this.
 
 Alongside the exact-match entries the cache keeps a **base-instance index**
-for the delta tier (:mod:`repro.delta`): one representative
-``(payload snapshot, frozen result)`` per near-match key
+for the delta tier (:mod:`repro.delta`): up to :data:`BASES_PER_KEY`
+``(payload snapshot, frozen result)`` bases per near-match key
 (:func:`repro.delta.delta_key` — the delta-stable parts of the batch key,
-payload excluded). An exact miss can then probe :meth:`get_base` for a
-near-duplicate base to patch instead of resolving from scratch. Base
+payload excluded), one per *lineage*: a document and its successive edited
+versions. Several documents of one shape share a key, so an exact miss
+probes :meth:`get_base` for the base whose payload differs from its own in
+the fewest elements, and a patched result registered with ``supersedes=``
+replaces the base it was patched from — an edit chain stays one base. Base
 entries share the frozen result object with the exact entry, so the index
-costs one payload snapshot per key, not a second table copy.
+costs one payload snapshot per base, not a second table copy.
 """
 
 from __future__ import annotations
 
+import itertools
 import threading
 from collections import OrderedDict
 from dataclasses import replace
@@ -26,9 +30,15 @@ from typing import Any, Mapping
 
 import numpy as np
 
+from ..delta.diff import payload_distance
 from ..exec.base import SolveResult
 
-__all__ = ["ResultCache"]
+__all__ = ["ResultCache", "BASES_PER_KEY"]
+
+#: Bases kept per near-match key: one per live lineage sharing the key.
+#: Small on purpose — choosing the nearest base costs one payload compare
+#: per base.
+BASES_PER_KEY = 4
 
 
 def _frozen_copy(arr: np.ndarray) -> np.ndarray:
@@ -58,16 +68,23 @@ def _thaw(result: SolveResult) -> SolveResult:
 
 
 class ResultCache:
-    """Thread-safe LRU mapping request keys to frozen solve results."""
+    """Thread-safe LRU mapping request keys to frozen solve results.
+
+    The base index is LRU-bounded by ``capacity`` too, counted in bases.
+    """
 
     def __init__(self, capacity: int = 128) -> None:
         if capacity < 1:
             raise ValueError(f"cache capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._entries: OrderedDict[str, SolveResult] = OrderedDict()
+        # Every base under its own token, least recently used first, and
+        # each near-match key's tokens, most recently used first.
         self._bases: OrderedDict[
-            str, tuple[Mapping[str, Any], SolveResult]
+            int, tuple[str, Mapping[str, Any], SolveResult]
         ] = OrderedDict()
+        self._lineages: dict[str, list[int]] = {}
+        self._tokens = itertools.count()
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
@@ -93,6 +110,7 @@ class ResultCache:
         *,
         base_key: str | None = None,
         payload: Mapping[str, Any] | None = None,
+        supersedes: Mapping[str, Any] | None = None,
     ) -> None:
         """Insert (or refresh) ``key``, evicting least-recently-used entries.
 
@@ -100,7 +118,10 @@ class ResultCache:
         registered in the base-instance index under the near-match key, with
         ``payload`` stored as the diffing snapshot. The caller owns the
         snapshot's immutability (the serve layer passes the request's
-        already-frozen payload, so no copy is taken here).
+        already-frozen payload, so no copy is taken here). ``supersedes`` is
+        the payload snapshot of the base the result was patched from: that
+        base is replaced rather than a new lineage added. A key holding more
+        than :data:`BASES_PER_KEY` bases drops its least recently used one.
         """
         frozen = _freeze(result)
         with self._lock:
@@ -110,33 +131,74 @@ class ResultCache:
                 self._entries.popitem(last=False)
                 self._evictions += 1
             if base_key is not None and payload is not None:
-                self._bases[base_key] = (payload, frozen)
-                self._bases.move_to_end(base_key)
+                tokens = self._lineages.setdefault(base_key, [])
+                token = None
+                if supersedes is not None:
+                    token = next(
+                        (t for t in tokens if self._bases[t][1] is supersedes),
+                        None,
+                    )
+                if token is None:
+                    token = next(self._tokens)
+                    tokens.insert(0, token)
+                self._bases[token] = (base_key, payload, frozen)
+                self._touch(token)
+                if len(tokens) > BASES_PER_KEY:
+                    self._drop_base(tokens[-1])
                 while len(self._bases) > self.capacity:
-                    self._bases.popitem(last=False)
+                    self._drop_base(next(iter(self._bases)))
+
+    def _touch(self, token: int) -> None:
+        """Mark one base most recently used (lock held)."""
+        self._bases.move_to_end(token)
+        tokens = self._lineages[self._bases[token][0]]
+        if tokens[0] != token:
+            tokens.remove(token)
+            tokens.insert(0, token)
+
+    def _drop_base(self, token: int) -> None:
+        """Remove one base from the index (lock held)."""
+        base_key = self._bases.pop(token)[0]
+        tokens = self._lineages[base_key]
+        tokens.remove(token)
+        if not tokens:
+            del self._lineages[base_key]
 
     def get_base(
-        self, base_key: str
+        self, base_key: str, payload: Mapping[str, Any] | None = None
     ) -> tuple[Mapping[str, Any], SolveResult] | None:
-        """The near-match base for ``base_key``, or ``None``.
+        """The near-match base for ``base_key`` nearest ``payload``, or ``None``.
 
-        Counts a **delta candidate** on a hit (an exact miss that had a
-        near-match available — the delta tier's addressable traffic). The
-        result is returned *frozen*, not thawed: the delta patch copies the
-        table itself, and freezing guarantees it cannot corrupt the entry.
+        Among the key's bases, returns the one whose payload differs from
+        ``payload`` in the fewest elements
+        (:func:`~repro.delta.payload_distance`; ties and ``payload=None`` go
+        to the most recently used). A key with one base is returned without
+        comparing. Counts a **delta candidate** on a hit (an exact miss that
+        had a near-match available — the delta tier's addressable traffic).
+        The result is returned *frozen*, not thawed: the delta patch copies
+        the table itself, and freezing guarantees it cannot corrupt the
+        entry.
         """
         with self._lock:
-            entry = self._bases.get(base_key)
-            if entry is None:
+            tokens = self._lineages.get(base_key)
+            if not tokens:
                 return None
-            self._bases.move_to_end(base_key)
+            bases = [(t, *self._bases[t][1:]) for t in tokens]
+        best = bases[0]
+        if payload is not None and len(bases) > 1:
+            # Compare outside the lock: payloads are immutable snapshots.
+            best = min(bases, key=lambda b: payload_distance(b[1], payload))
+        token, base_payload, frozen = best
+        with self._lock:
+            if token in self._bases:
+                self._touch(token)
             self._delta_candidates += 1
-        return entry
+        return base_payload, frozen
 
     def has_base(self, base_key: str) -> bool:
         """Peek the base index without counting a candidate (admission)."""
         with self._lock:
-            return base_key in self._bases
+            return base_key in self._lineages
 
     def note_delta_hit(self) -> None:
         """Record that a candidate was actually served by a delta patch."""
@@ -147,6 +209,7 @@ class ResultCache:
         with self._lock:
             self._entries.clear()
             self._bases.clear()
+            self._lineages.clear()
 
     def __len__(self) -> int:
         with self._lock:

@@ -43,6 +43,11 @@ __all__ = ["ServiceConfig", "BACKENDS"]
 #: Recognised execution backends (``ServiceConfig.backend``).
 BACKENDS = ("thread", "process")
 
+DELTA_NEEDS_THREADS = (
+    "delta solving needs the thread backend: the process backend's "
+    "shared-memory cache keeps no base payloads to patch from"
+)
+
 #: The legacy ``SolveService(...)`` keyword names the shim accepts. Field
 #: names were kept identical on purpose: migration is mechanical.
 _LEGACY_KWARGS = (
@@ -92,7 +97,7 @@ class ServiceConfig:
         Exponential retry backoff schedule (jittered).
     options:
         Service-wide :class:`~repro.exec.base.ExecOptions`; per-request
-        overrides still apply.
+        overrides still apply. ``delta=True`` requires the thread backend.
     coalesce_window:
         Seconds a worker waits for batch-compatible requests to coalesce
         into one stacked execution (``0`` disables).
@@ -153,6 +158,12 @@ class ServiceConfig:
                 f"default_timeout cannot be negative, got "
                 f"{self.default_timeout}"
             )
+        if (
+            self.backend == "process"
+            and self.options is not None
+            and self.options.delta
+        ):
+            raise ValueError(DELTA_NEEDS_THREADS)
         if self.start_method not in ("spawn", "forkserver", "fork"):
             raise ValueError(
                 f"start_method must be spawn/forkserver/fork, got "

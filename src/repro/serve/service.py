@@ -78,7 +78,7 @@ from ..obs import get_metrics, get_tracer
 from ..slo import AdmissionController, Autoscaler, Pricer, QuotaManager
 from .backends import make_backend
 from .cache import ResultCache
-from .config import ServiceConfig
+from .config import DELTA_NEEDS_THREADS, ServiceConfig
 from .request import SolveRequest, request_key
 from .shm import SegmentIndex
 
@@ -111,6 +111,8 @@ class PendingSolve:
         self._future: Future = Future()
         self._batch_key = _BATCH_KEY_UNSET  # lazily memoized by the service
         self._delta_key = _BATCH_KEY_UNSET  # near-match key, memoized too
+        self._delta_probed = False  # the delta tier runs once per request
+        self._delta_base = None  # payload of the base a patch started from
         self._delta_reason: str | None = None  # why a delta patch degraded
         self._units: float | None = None  # closed-form price (SLO mode)
         self._priced_wall: float = 0.0  # predicted wall s, backlog accounting
@@ -322,13 +324,21 @@ class SolveService:
         *only* place policy can refuse work: tenant quota first
         (:class:`~repro.errors.QuotaExceeded`), then closed-form admission
         (:class:`~repro.errors.AdmissionRejected` or a down-tier) — an
-        admitted request is never shed later.
+        admitted request is never shed later. A request whose own options
+        enable delta raises ``ValueError`` on the process backend, like a
+        service-wide ``delta`` does at configuration.
         """
         metrics = get_metrics()
         if request.functional:
             # Estimate-only instances fail here, at submission, with a clear
             # error — not with a KeyError inside a worker thread.
             request.problem.require_solvable()
+        if (
+            self.config.backend == "process"
+            and request.options is not None
+            and request.options.delta
+        ):
+            raise ValueError(DELTA_NEEDS_THREADS)
         units = None
         key = _BATCH_KEY_UNSET
         if self.slo is not None:
@@ -783,30 +793,20 @@ class SolveService:
         cache key (``None`` when uncacheable). Shared by the per-request
         path and the coalescer's per-member fallback after a batch failure.
 
-        With ``ExecOptions.delta`` the delta tier runs first: an exact-miss
-        request with a cached near-match base is served by patching the
-        base's table (:mod:`repro.delta`) — bit-identical, counted as
-        ``serve.cache.delta_hit``. A failed patch falls through to the full
-        solve below, never into the retry accounting (retrying a patch
-        that just proved inapplicable is pointless). Timeouts and
+        With ``ExecOptions.delta`` the delta tier runs first, unless the
+        request already had its one probe (the coalescer's pre-pass): an
+        exact-miss request with a cached near-match base is served by
+        patching the base's table (:mod:`repro.delta`) — bit-identical,
+        counted as ``serve.cache.delta_hit``. A failed patch falls through
+        to the full solve below, never into the retry accounting (retrying
+        a patch that just proved inapplicable is pointless). Timeouts and
         cancellations raised inside the patch surface normally.
         """
         metrics = get_metrics()
         request = pending.request
-        try:
-            result = self._try_delta(pending, span, key)
-        except SolveCancelled as exc:
-            metrics.counter("serve.requests.aborted").inc()
-            span.set(outcome="cancelled")
-            pending._future.set_exception(exc)
-            return
-        except ServiceTimeout as exc:
-            metrics.counter("serve.requests.timeout").inc()
-            span.set(outcome="timeout")
-            pending._future.set_exception(exc)
-            return
-        if result is not None:
-            self._finish(pending, span, key, result)
+        outcome = self._try_delta(pending, key)
+        if outcome is not None:
+            self._resolve(pending, span, key, outcome)
             return
         attempts = 0
         while True:
@@ -817,17 +817,10 @@ class SolveService:
                     result = self._execute(request, pending)
                 self._observe_run(pending, time.monotonic() - started)
                 break
-            except SolveCancelled as exc:
-                metrics.counter("serve.requests.aborted").inc()
-                span.set(outcome="cancelled")
-                pending._future.set_exception(exc)
-                return
-            except ServiceTimeout as exc:
-                # The executor hit the deadline mid-run; the worker is
-                # free again within one wavefront. Never retried.
-                metrics.counter("serve.requests.timeout").inc()
-                span.set(outcome="timeout")
-                pending._future.set_exception(exc)
+            except (SolveCancelled, ServiceTimeout) as exc:
+                # A deadline hit mid-run frees the worker within one
+                # wavefront. Neither is retried.
+                self._resolve(pending, span, key, exc)
                 return
             except Exception as exc:  # noqa: BLE001 - surfaced via future
                 attempts += 1
@@ -860,6 +853,27 @@ class SolveService:
 
         self._finish(pending, span, key, result)
 
+    def _resolve(self, pending: PendingSolve, span, key, outcome) -> bool:
+        """Settle ``pending`` with one run's outcome.
+
+        A result finishes the request; a cancellation or timeout fails it.
+        Returns ``False`` for any other exception, which the caller retries.
+        """
+        metrics = get_metrics()
+        if isinstance(outcome, SolveResult):
+            self._finish(pending, span, key, outcome)
+        elif isinstance(outcome, SolveCancelled):
+            metrics.counter("serve.requests.aborted").inc()
+            span.set(outcome="cancelled")
+            pending._future.set_exception(outcome)
+        elif isinstance(outcome, ServiceTimeout):
+            metrics.counter("serve.requests.timeout").inc()
+            span.set(outcome="timeout")
+            pending._future.set_exception(outcome)
+        else:
+            return False
+        return True
+
     def _observe_run(self, pending: PendingSolve, wall: float) -> None:
         """Feed one measured execution back into the pricer's calibration."""
         if self._pricer is not None and pending._units is not None:
@@ -882,29 +896,37 @@ class SolveService:
             )
         return memo
 
-    def _try_delta(self, pending: PendingSolve, span, key) -> SolveResult | None:
+    def _try_delta(
+        self, pending: PendingSolve, key
+    ) -> SolveResult | SolveCancelled | ServiceTimeout | None:
         """Serve an exact-cache miss by patching a near-match base, if any.
 
-        Returns the patched result (bit-identical to a fresh solve), or
+        Returns the patched result (bit-identical to a fresh solve), the
+        timeout or cancellation the patch raised (for :meth:`_resolve`), or
         ``None`` — either because the request is not a delta candidate (no
-        opt-in, no base cached, structurally ineligible) or because the
-        patch degraded, in which case ``pending._delta_reason`` carries the
-        reason for :meth:`_finish` to surface. Only the thread backend's
-        :class:`ResultCache` holds base payloads; the process backend's
-        segment index does not, so delta is silently a no-op there.
+        opt-in, already probed, no base cached, structurally ineligible) or
+        because the patch degraded, in which case ``pending._delta_reason``
+        carries the reason for :meth:`_finish` to surface. The patch starts
+        from the cached base nearest the request's payload, recorded in
+        ``pending._delta_base`` so the result supersedes it. Only the thread
+        backend's :class:`ResultCache` holds base payloads, which is why
+        :class:`ServiceConfig` rejects delta on the process backend.
         """
-        if key is None or not isinstance(self.cache, ResultCache):
+        if key is None or pending._delta_probed:
+            return None
+        if not isinstance(self.cache, ResultCache):
             return None
         request = pending.request
         options = request.options or self.framework.options
         if not options.delta or not pending.effective_functional:
             return None
+        pending._delta_probed = True
         if delta_applicable(request.problem, options) is not None:
             return None
         dkey = self._delta_key_of(pending)
         if dkey is None:
             return None
-        base = self.cache.get_base(dkey)
+        base = self.cache.get_base(dkey, request.problem.payload)
         if base is None:
             return None
         base_payload, base_result = base
@@ -918,15 +940,15 @@ class SolveService:
                 options=self._control_options(request, pending),
                 executor=pending.effective_executor,
             )
-        except (ServiceTimeout, SolveCancelled):
-            raise
+        except (ServiceTimeout, SolveCancelled) as exc:
+            return exc
         except Exception as exc:  # noqa: BLE001 - degrade, never fail
             pending._delta_reason = f"{type(exc).__name__}: {exc}"
             metrics.counter("serve.cache.delta_degraded").inc()
             return None
         metrics.counter("serve.cache.delta_hit").inc()
         self.cache.note_delta_hit()
-        span.set(delta=True)
+        pending._delta_base = base_payload
         return result
 
     def _base_key_for(
@@ -956,16 +978,20 @@ class SolveService:
             # surface the reason like the scan tier does.
             result.stats.setdefault("degraded", "full-solve")
             result.stats["delta_degraded_reason"] = pending._delta_reason
+        if pending._delta_base is not None:
+            span.set(delta=True)
         if key is not None:
             base_key = self._base_key_for(pending, result)
             if base_key is not None:
                 # Register the result as a delta base: the request's payload
                 # is already a frozen snapshot (SolveRequest freezes it), so
-                # it is safe to keep as the diffing reference.
+                # it is safe to keep as the diffing reference. A patched
+                # result replaces the base it was patched from.
                 self.cache.put(
                     key, result,
                     base_key=base_key,
                     payload=pending.request.problem.payload,
+                    supersedes=pending._delta_base,
                 )
             else:
                 self.cache.put(key, result)
@@ -1072,11 +1098,13 @@ class SolveService:
         """Resolve a coalesced set: short-circuit, batch-execute, scatter.
 
         Per member, in order: claim the future (drop if cancelled), fail
-        expired deadlines, serve cache hits — all *before* batch execution,
-        so a cached or dead request never pays for the batch. Survivors run
-        as one :func:`repro.batch.execute_items` group with their deadlines
-        and cancel tokens live per wavefront; a member whose batched run
-        fails retryably falls back to the per-request retry path.
+        expired deadlines, serve cache hits, then offer delta-enabled
+        members to the delta tier — all *before* batch execution, so a
+        cached, patched or dead request never pays for the batch. Survivors
+        run as one :func:`repro.batch.execute_items` group with their
+        deadlines and cancel tokens live per wavefront; a member whose
+        batched run fails retryably falls back to the per-request retry
+        path (without a second delta probe).
         """
         metrics = get_metrics()
         tracer = get_tracer()
@@ -1136,6 +1164,16 @@ class SolveService:
                     continue
                 metrics.counter("serve.cache.misses").inc()
             pending.cache_hit = False
+            outcome = self._try_delta(pending, key)
+            if outcome is not None:
+                with tracer.span(
+                    "serve.request", cat="serve",
+                    problem=request.problem.name,
+                    executor=pending.effective_executor,
+                    priority=request.priority,
+                ) as span:
+                    self._resolve(pending, span, key, outcome)
+                continue
             run.append((pending, key))
 
         if not run:
@@ -1197,16 +1235,7 @@ class SolveService:
             ) as span:
                 if isinstance(outcome, SolveResult):
                     self._observe_run(pending, member_wall)
-                    self._finish(pending, span, key, outcome)
-                elif isinstance(outcome, SolveCancelled):
-                    metrics.counter("serve.requests.aborted").inc()
-                    span.set(outcome="cancelled")
-                    pending._future.set_exception(outcome)
-                elif isinstance(outcome, ServiceTimeout):
-                    metrics.counter("serve.requests.timeout").inc()
-                    span.set(outcome="timeout")
-                    pending._future.set_exception(outcome)
-                else:
+                if not self._resolve(pending, span, key, outcome):
                     # Retryable failure inside the batch: this member gets
                     # the full per-request retry path (fresh attempts — the
                     # batched try was the free one).

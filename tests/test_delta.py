@@ -14,11 +14,17 @@ The load-bearing guarantees:
   degrade, undeclared entries fall back to the sound global probe;
 * the serve layer turns exact-miss/near-match traffic into patches
   (``serve.cache.delta_hit``) and degrades bit-identically with a stats
-  reason on any failure, including an injected ``delta.patch`` fault.
+  reason on any failure, including an injected ``delta.patch`` fault;
+* the base index keeps one base per lineage: same-shape documents sharing
+  a near-match key each patch against their own latest version, coalesced
+  edits are patched before any batch sweep, and a request is probed (and
+  counted degraded) at most once.
 """
 
 from __future__ import annotations
 
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -27,12 +33,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import ContributingSet, ExecOptions, Framework, LDDPProblem
+from repro.cli import main as cli_main
 from repro.delta import (
     candidate_mask,
     delta_applicable,
     delta_key,
     delta_makespan,
     delta_patch,
+    delta_timeline,
     forward_offsets,
     materialize_cone,
     payload_diff,
@@ -43,9 +51,11 @@ from repro.errors import DeltaUnsupported, InjectedFault, ProblemSpecError
 from repro.faults import inject_faults
 from repro.machine.platform import hetero_high
 from repro.obs import get_metrics
+from repro.patterns.registry import strategy_for
 from repro.problems.checkerboard import make_checkerboard
 from repro.problems.levenshtein import make_levenshtein
 from repro.serve import ResultCache, ServiceConfig, SolveRequest, SolveService
+from repro.serve.cache import BASES_PER_KEY
 
 SETTINGS = settings(max_examples=25, deadline=None)
 
@@ -449,6 +459,211 @@ class TestCacheBaseIndex:
         assert served.stats.get("solver") != "delta"
 
 
+# -- lineages: one base per edited document ----------------------------------
+
+
+def _edit_tail(problem: LDDPProblem, rng) -> LDDPProblem:
+    """``problem`` with one symbol near the end of ``a`` changed."""
+    n = problem.payload["a"].shape[0]
+    return _edit_entry(problem, "a", [n - 1 - int(rng.integers(3))])
+
+
+def _oracle(problem: LDDPProblem) -> np.ndarray:
+    return FRAMEWORK.solve(problem, executor="sequential").table
+
+
+class TestLineages:
+    def test_alternating_documents_patch_against_their_own_base(self):
+        rng = np.random.default_rng(0)
+        docs = [make_levenshtein(48, seed=0), make_levenshtein(48, seed=1)]
+        cfg = ServiceConfig(workers=1, options=ExecOptions(delta=True))
+        with SolveService(hetero_high(), config=cfg) as svc:
+            for doc in docs:  # warm-up: each original becomes a base
+                svc.submit(SolveRequest(doc)).result()
+            for k in range(20):  # a 20-version chain, 10 per document
+                docs[k % 2] = _edit_tail(docs[k % 2], rng)
+                served = svc.submit(SolveRequest(docs[k % 2])).result()
+                assert served.stats["solver"] == "delta"
+                assert np.array_equal(served.table, _oracle(docs[k % 2]))
+            stats = svc.cache.stats()
+        assert stats["base_entries"] == len(docs)
+        assert stats["delta_hits"] == 20
+
+    def test_nearest_base_is_the_minimum_diff_one(self):
+        result = FRAMEWORK.solve(make_levenshtein(16), executor="cpu")
+        far = {"a": np.arange(8) + 5}
+        near = {"a": np.arange(8) + (np.arange(8) == 7)}
+        cache = ResultCache(capacity=8)
+        cache.put("k-near", result, base_key="key", payload=near)
+        cache.put("k-far", result, base_key="key", payload=far)
+        target = {"a": np.arange(8) + 2 * (np.arange(8) == 7)}
+        assert cache.get_base("key", target)[0] is near
+        assert cache.get_base("key")[0] is near  # now the most recent
+        assert cache.get_base("key", {"a": far["a"] * (np.arange(8) > 0)})[0] is far
+
+    def test_supersedes_replaces_the_patched_base(self):
+        result = FRAMEWORK.solve(make_levenshtein(16), executor="cpu")
+        v0, v1, other = {"a": np.zeros(4)}, {"a": np.ones(4)}, {"a": None}
+        cache = ResultCache(capacity=8)
+        cache.put("v0", result, base_key="key", payload=v0)
+        cache.put("o", result, base_key="key", payload=other)
+        cache.put("v1", result, base_key="key", payload=v1, supersedes=v0)
+        assert cache.stats()["base_entries"] == 2
+        assert cache.get_base("key", v0)[0] is v1
+
+    def test_per_key_cap_evicts_the_oldest_lineage(self):
+        result = FRAMEWORK.solve(make_levenshtein(16), executor="cpu")
+        payloads = [{"a": np.full(4, i)} for i in range(BASES_PER_KEY + 1)]
+        cache = ResultCache(capacity=64)
+        for i, payload in enumerate(payloads):
+            cache.put(f"k{i}", result, base_key="key", payload=payload)
+        assert cache.stats()["base_entries"] == BASES_PER_KEY
+        assert cache.get_base("key", payloads[0])[0] is not payloads[0]
+
+    def test_total_capacity_lru_evicts_the_oldest_lineage(self):
+        result = FRAMEWORK.solve(make_levenshtein(16), executor="cpu")
+        a0, a1, b = ({"a": np.full(4, i)} for i in range(3))
+        cache = ResultCache(capacity=2)
+        cache.put("a0", result, base_key="A", payload=a0)
+        cache.put("a1", result, base_key="A", payload=a1)
+        cache.get_base("A", a0)  # a0 is now more recent than a1
+        cache.put("b", result, base_key="B", payload=b)
+        assert cache.stats()["base_entries"] == 2
+        assert cache.get_base("A", a1)[0] is a0
+        assert cache.has_base("B")
+
+
+    def test_concurrent_puts_keep_the_index_consistent(self):
+        result = FRAMEWORK.solve(make_levenshtein(16), executor="cpu")
+        cache = ResultCache(capacity=6)
+        errors = []
+
+        def edit_chain(w):
+            try:
+                for i in range(200):
+                    payload = {"a": np.full(4, 1000 * w + i)}
+                    key = f"key{w % 3}"
+                    base = cache.get_base(key, payload)
+                    cache.put(f"{w}-{i}", result, base_key=key,
+                              payload=payload,
+                              supersedes=None if base is None else base[0])
+            except Exception as exc:  # pragma: no cover - surfaced below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=edit_chain, args=(w,))
+                   for w in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors
+        assert not any(t.is_alive() for t in threads)
+        tokens = [t for ts in cache._lineages.values() for t in ts]
+        assert sorted(tokens) == sorted(cache._bases)
+        assert cache.stats()["base_entries"] == len(tokens) <= 6
+        assert all(len(ts) <= BASES_PER_KEY
+                   for ts in cache._lineages.values())
+
+
+# -- coalesced edits: delta before the batch sweep ----------------------------
+
+
+def _coalesced_edits(monkeypatch, *, fault=None, fail_batch=False):
+    """Two queued edits of two same-shape documents, drained as one batch.
+
+    Returns the two delivered results, their edited problems, the batch
+    sizes the coalescer saw and how many patches degraded. ``fault`` is injected after the warm-up; with
+    ``fail_batch`` the batched run fails for every member, forcing the
+    per-request fallback.
+    """
+    docs = [make_levenshtein(48, seed=0), make_levenshtein(48, seed=1)]
+    edits = [_edit_entry(d, "a", [47]) for d in docs]
+    blocker = make_checkerboard(64)
+    sizes = []
+    cfg = ServiceConfig(workers=1, coalesce_window=0.05,
+                        options=ExecOptions(delta=True))
+    with SolveService(hetero_high(), config=cfg) as svc:
+        for doc in docs:
+            svc.submit(SolveRequest(doc)).result()
+        process_batch = svc._process_batch
+
+        def spy(members):
+            sizes.append(len(members))
+            process_batch(members)
+
+        monkeypatch.setattr(svc, "_process_batch", spy)
+        if fail_batch:
+            monkeypatch.setattr(
+                svc._backend, "execute_batch",
+                lambda items, affinity=None: [RuntimeError("batch")] * len(items),
+            )
+        degraded = get_metrics().counter("serve.cache.delta_degraded")
+        before = degraded.value
+        with inject_faults(*([fault] if fault else [])):
+            # Occupy the single worker so both edits queue together.
+            hold = svc.submit(SolveRequest(blocker, cacheable=False))
+            pending = [svc.submit(SolveRequest(e)) for e in edits]
+            hold.result()
+            results = [p.result() for p in pending]
+    return results, edits, sizes, degraded.value - before
+
+
+class TestCoalescedDelta:
+    def test_coalesced_pair_is_served_by_two_patches_and_no_sweep(
+        self, monkeypatch
+    ):
+        metrics = get_metrics()
+        instances = metrics.counter("batch.instances").value
+        results, edits, sizes, _ = _coalesced_edits(monkeypatch)
+        assert 2 in sizes
+        assert [r.stats["solver"] for r in results] == ["delta", "delta"]
+        assert metrics.counter("batch.instances").value == instances
+        for result, edit in zip(results, edits):
+            assert np.array_equal(result.table, _oracle(edit))
+
+    def test_patch_fault_in_a_batch_is_counted_once(self, monkeypatch):
+        results, edits, sizes, degraded_count = _coalesced_edits(
+            monkeypatch, fault="delta.patch:nth=1")
+        assert 2 in sizes
+        assert degraded_count == 1
+        degraded = [r for r in results if r.stats.get("solver") != "delta"]
+        assert len(degraded) == 1
+        assert "InjectedFault" in degraded[0].stats["delta_degraded_reason"]
+        for result, edit in zip(results, edits):
+            assert np.array_equal(result.table, _oracle(edit))
+
+    def test_failed_batch_fallback_does_not_probe_again(self, monkeypatch):
+        results, edits, sizes, degraded_count = _coalesced_edits(
+            monkeypatch, fault="delta.patch:rate=1", fail_batch=True)
+        assert 2 in sizes
+        assert degraded_count == 2
+        for result, edit in zip(results, edits):
+            assert result.stats["degraded"] == "full-solve"
+            assert "InjectedFault" in result.stats["delta_degraded_reason"]
+            assert np.array_equal(result.table, _oracle(edit))
+
+
+# -- delta needs the thread backend -------------------------------------------
+
+
+class TestProcessBackendRejected:
+    def test_config_rejects_delta_on_process_backend(self):
+        with pytest.raises(ValueError, match="thread backend"):
+            ServiceConfig(backend="process", options=ExecOptions(delta=True))
+        ServiceConfig(backend="process", options=ExecOptions())
+
+    def test_serve_cli_exits_with_the_message(self, capsys):
+        argv = ["serve", "--requests", "1", "--size", "24", "--delta",
+                "--backend", "process"]
+        assert cli_main(argv) == 2
+        assert "thread backend" in capsys.readouterr().err
+
+
 # -- pricing ------------------------------------------------------------------
 
 
@@ -464,6 +679,25 @@ class TestPricing:
         undeclared = replace(p, payload_locality=None)
         assert delta_makespan(p, hetero_high()) < delta_makespan(
             undeclared, hetero_high())
+
+    @pytest.mark.parametrize("fraction", [0.01, 0.25, 1.0])
+    @pytest.mark.parametrize("problem", [
+        make_levenshtein(96),
+        replace(make_levenshtein(96), payload_locality=None),
+        make_checkerboard(64),
+    ], ids=["declared", "undeclared", "checkerboard"])
+    def test_price_equals_timeline(self, problem, fraction):
+        """The admission price is the makespan of the patch's timeline for
+        the cone, wave count and probe admission assumes."""
+        cells = problem.total_computed_cells
+        cone = int(fraction * cells)
+        waves = round(fraction * strategy_for(problem).schedule.num_iterations)
+        probe = cone if problem.payload_locality else cells
+        timeline = delta_timeline(problem, hetero_high(), cone, waves,
+                                  probed_cells=probe)
+        assert delta_makespan(
+            problem, hetero_high(), cone_fraction=fraction
+        ) == timeline.makespan
 
 
 # -- the global probe stays sound ---------------------------------------------
