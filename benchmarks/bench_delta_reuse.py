@@ -15,10 +15,11 @@ string, so its invalidation cone sweeps every later wavefront).  Patched
 cost tracks the *cone*, not the table; the suffix cone must stay smaller
 than the interior cone.
 
-Timings are min-of-N wall clock of :func:`repro.delta.delta_patch` against
-one full ``Framework.solve`` of the edited instance (the expensive side
-runs once). Results land in ``benchmarks/results/delta_reuse.txt`` and —
-the perf trajectory the ROADMAP asks for — in ``BENCH_delta.json`` at the
+Both arms — :func:`repro.delta.delta_patch` and a full ``Framework.solve``
+of the edited instance — get one untimed warm-up run and the same number of
+timed repetitions; the report gives the min and the median of each, and the
+gate uses the ratio of the minimums. Results land in
+``benchmarks/results/delta_reuse.txt`` and in ``BENCH_delta.json`` at the
 repo root.
 
 Run standalone (CI perf smoke)::
@@ -35,6 +36,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import sys
 import time
 from dataclasses import replace
@@ -71,29 +73,34 @@ def _edited_row(problem, row: int):
     return replace(problem, payload=payload)
 
 
-def _timed_patch(problem, base_payload, base_result, reps: int):
-    """Min-of-N wall clock of a delta patch; returns (s, result)."""
-    best = None
-    result = None
-    options = ExecOptions(delta=True, delta_max_cone=1.0)
+def _timed(run, reps: int):
+    """One untimed warm-up, then ``reps`` timed runs.
+
+    Returns ``(min s, median s, result of the last run)``.
+    """
+    result = run()
+    times = []
     for _ in range(reps):
         t0 = time.perf_counter()
-        result = delta_patch(
-            problem, base_payload, base_result,
-            platform=hetero_high(), options=options, executor=EXECUTOR,
-        )
-        s = time.perf_counter() - t0
-        best = s if best is None else min(best, s)
-    return best, result
+        result = run()
+        times.append(time.perf_counter() - t0)
+    return min(times), statistics.median(times), result
 
 
 def _measure_edit(fw, base, base_result, edited, label: str,
                   reps: int) -> dict:
-    t0 = time.perf_counter()
-    fresh = fw.solve(edited, executor=EXECUTOR,
-                     options=ExecOptions(delta=False))
-    fresh_s = time.perf_counter() - t0
-    patch_s, patched = _timed_patch(edited, base.payload, base_result, reps)
+    fresh_s, fresh_med, fresh = _timed(
+        lambda: fw.solve(edited, executor=EXECUTOR,
+                         options=ExecOptions(delta=False)),
+        reps,
+    )
+    options = ExecOptions(delta=True, delta_max_cone=1.0)
+    patch_s, patch_med, patched = _timed(
+        lambda: delta_patch(edited, base.payload, base_result,
+                            platform=hetero_high(), options=options,
+                            executor=EXECUTOR),
+        reps,
+    )
     assert patched.stats["solver"] == "delta", patched.stats
     return {
         "workload": label,
@@ -104,8 +111,11 @@ def _measure_edit(fw, base, base_result, edited, label: str,
         "cone_fraction": patched.stats["delta_cone_fraction"],
         "cone_waves": patched.stats["delta_waves"],
         "fresh_s": fresh_s,
+        "fresh_median_s": fresh_med,
         "patch_s": patch_s,
+        "patch_median_s": patch_med,
         "ratio": fresh_s / patch_s,
+        "ratio_median": fresh_med / patch_med,
         "bit_identical": bool(np.array_equal(patched.table, fresh.table)),
     }
 
@@ -147,16 +157,20 @@ def report(r: dict) -> str:
             if r["ratio_gate_active"] else "ratio informational (quick)")
     lines = [
         f"delta tier — patched near-duplicates vs fresh solves "
-        f"(min of {r['reps']} patch runs, {gate})"
+        f"(min / median of {r['reps']} runs per arm after one warm-up, "
+        f"{gate})"
     ]
     for w in r["workloads"]:
         lines.append(
             f"  {w['workload']:<18} probe {w['probe']:<8} "
             f"cone {w['cone_cells']:>8} cells "
             f"({w['cone_fraction'] * 100:5.2f}% of table)   "
-            f"fresh {w['fresh_s'] * 1e3:9.2f} ms   "
-            f"patch {w['patch_s'] * 1e3:7.2f} ms   "
-            f"{w['ratio']:7.2f}x   bit-identical: {w['bit_identical']}"
+            f"fresh {w['fresh_s'] * 1e3:7.2f} / "
+            f"{w['fresh_median_s'] * 1e3:7.2f} ms   "
+            f"patch {w['patch_s'] * 1e3:6.2f} / "
+            f"{w['patch_median_s'] * 1e3:6.2f} ms   "
+            f"{w['ratio']:6.2f}x / {w['ratio_median']:6.2f}x   "
+            f"bit-identical: {w['bit_identical']}"
         )
     return "\n".join(lines)
 

@@ -27,13 +27,16 @@ similarity-reuse layer:
    scan tier's verified-declaration idiom.  Without a declaration,
    :func:`probe_seeds` re-evaluates the whole computed region in one
    vectorized cell-function pass: always sound, table-sweep cost.
-4. :func:`materialize_cone` pushes the seeds through the pattern's forward
-   dependency vectors — one boolean row sweep plus one lexsort, no
-   per-wave Python loop — clipped by ``ExecOptions.delta_max_cone`` so the
-   work stays proportional to the cone, not the table.
-5. :func:`delta_patch` copies the base table and replays only the cone's
-   per-wavefront spans through the existing :func:`repro.exec.evaluate_span`
-   / ``KernelPlan`` dispatcher — bit-identical to a fresh solve, by
+4. :func:`forward_cone` pushes the seeds through the pattern's forward
+   dependency vectors and returns the cone's cells sorted by (iteration,
+   position) with wave boundaries (a :class:`Cone`) — closed-form for
+   contributing sets with W, one boolean row sweep otherwise, then one
+   lexsort — clipped by ``ExecOptions.delta_max_cone`` so the work stays
+   proportional to the cone, not the table.
+5. :func:`delta_patch` copies the base table into a flat buffer with an
+   ``oob_value`` sentinel slot, computes every gather and scatter index of
+   the cone once, and replays each wave as one gather -> cell -> scatter
+   — the generic span's contract, so bit-identical to a fresh solve by
    induction over the wavefront order.
 
 Any failure (structural mismatch, oversized cone, ``delta.patch`` fault)
@@ -43,9 +46,10 @@ See ``docs/delta-solving.md``.
 """
 
 from .cone import (
+    Cone,
     candidate_mask,
+    forward_cone,
     forward_offsets,
-    materialize_cone,
     probe_cells,
     probe_seeds,
     verify_locality,
@@ -64,7 +68,8 @@ __all__ = [
     "candidate_mask",
     "verify_locality",
     "forward_offsets",
-    "materialize_cone",
+    "Cone",
+    "forward_cone",
     "delta_applicable",
     "delta_patch",
     "delta_timeline",

@@ -13,15 +13,17 @@ uses on the block grid, applied here at cell granularity:
 Two structural facts make the cone cheap to materialize:
 
 * every forward vector has a row step of 0 or +1 (contributing cells come
-  from the row above or the same row's left), so the closure is computed
-  with one boolean sweep down the rows — row ``r`` receives shifted copies
-  of row ``r-1``, and the W vector's in-row rightward propagation is a
-  single ``logical_or.accumulate``;
+  from the row above or the same row's left).  With W in the set the
+  rightward propagation makes every cone row a suffix ``[L_r, C)``, and
+  the closure is one ``minimum.accumulate`` over the row starts; without
+  W it is one boolean sweep down the rows, row ``r`` receiving shifted
+  copies of row ``r-1``;
 * for any dependency-compatible wavefront schedule each forward vector
   lands in a *strictly later* iteration (that is what compatibility means —
   see ``LDDPProblem`` / paper Table I), so replaying the cone's cells
   grouped by iteration index, ascending, re-establishes every cell from
-  fully-settled inputs.
+  fully-settled inputs.  :func:`forward_cone` returns the cells in that
+  order, with the wave boundaries.
 
 The *probe* turns a payload diff into the seed cells. With a declared
 ``payload_locality`` the changed elements map to a small candidate set and
@@ -32,6 +34,8 @@ region, which is always sound but costs a table sweep.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,7 +51,8 @@ __all__ = [
     "probe_seeds",
     "candidate_mask",
     "verify_locality",
-    "materialize_cone",
+    "Cone",
+    "forward_cone",
 ]
 
 
@@ -215,7 +220,35 @@ def verify_locality(
     return int(gi.size)
 
 
-def materialize_cone(
+class Cone(NamedTuple):
+    """A forward invalidation cone in replay order.
+
+    ``rows`` / ``cols`` are the cone's cells in coordinates local to the
+    computed region, sorted by (iteration, position); wave ``k`` is the
+    slice ``bounds[k]:bounds[k + 1]``.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    bounds: np.ndarray
+
+    @classmethod
+    def empty(cls) -> "Cone":
+        none = np.empty(0, dtype=np.int64)
+        return cls(none, none, np.zeros(1, dtype=np.int64))
+
+    @property
+    def waves(self) -> int:
+        """Number of distinct iterations the cone touches."""
+        return int(self.bounds.size) - 1
+
+    @property
+    def cells(self) -> int:
+        """Cone volume."""
+        return int(self.rows.size)
+
+
+def forward_cone(
     schedule: WavefrontSchedule,
     contributing: ContributingSet,
     seed_rows: np.ndarray,
@@ -223,48 +256,104 @@ def materialize_cone(
     shape: tuple[int, int],
     *,
     max_cells: int | None = None,
-) -> tuple[list[tuple[int, int, int]], int, int]:
-    """Forward closure of the seed cells as replay-ready spans.
+) -> Cone:
+    """Forward closure of the seed cells, sorted for replay.
 
     ``seed_rows`` / ``seed_cols`` are the seed cells in coordinates local
-    to the computed region (``shape``), duplicates allowed.  Returns
-    ``(spans, waves, cone_cells)``: ``spans`` is a list of ``(t, lo, hi)``
-    — maximal contiguous runs of canonical intra-wavefront positions,
-    ascending by iteration ``t`` — ``waves`` the number of distinct
-    iterations touched, and ``cone_cells`` the total cone volume.  Raises
-    :class:`DeltaUnsupported` as soon as the running total exceeds
-    ``max_cells`` (the wave clip: abandoning early is what keeps a
-    pathological edit from costing a full sweep *plus* the cone walk).
+    to the computed region (``shape``), duplicates allowed.  Raises
+    :class:`DeltaUnsupported` when the cone volume exceeds ``max_cells``
+    (the wave clip: abandoning early is what keeps a pathological edit from
+    costing a full sweep *plus* the cone walk).
 
-    The closure is one boolean sweep down the rows (every forward vector
-    steps 0 or +1 rows; the W vector's in-row propagation is an
-    or-accumulate) over two reused row buffers — never a full-table mask —
-    then a single vectorized ``iteration_of`` / ``position_of`` evaluation
-    plus one lexsort builds the wave grouping.  No per-wave Python loop,
-    no table-sized allocation: a long thin cone (hundreds of single-cell
-    waves) costs microseconds, not milliseconds.
+    With W in the contributing set every cone row is a suffix ``[L_r, C)``
+    and the closure is closed-form (:func:`_suffix_closure`); without it,
+    one boolean sweep down the rows (:func:`_row_sweep`).  Either way one
+    vectorized ``iteration_of`` / ``position_of`` evaluation plus one
+    lexsort orders the cells into waves: no per-wave Python loop and no
+    table-sized allocation.
     """
     R, C = shape
     if seed_rows.size == 0:
-        return [], 0, 0
+        return Cone.empty()
+    offsets = forward_offsets(contributing)
+    down_js = [dj for di, dj in offsets if di == 1]
+    if (0, 1) in offsets:
+        li, lj = _suffix_closure(down_js, seed_rows, seed_cols, R, C, max_cells)
+    else:
+        li, lj = _row_sweep(down_js, seed_rows, seed_cols, R, C, max_cells)
+    t = np.asarray(schedule.iteration_of(li, lj), dtype=np.int64)
+    pos = np.asarray(schedule.position_of(li, lj), dtype=np.int64)
+    order = np.lexsort((pos, t))
+    t = t[order]
+    bounds = np.concatenate(([0], np.flatnonzero(t[1:] != t[:-1]) + 1,
+                             [t.size]))
+    return Cone(li[order], lj[order], bounds)
+
+
+def _too_large(max_cells: int, row: int) -> DeltaUnsupported:
+    return DeltaUnsupported(f"cone-too-large: > {max_cells} cells by row {row}")
+
+
+def _suffix_closure(down_js, seed_rows, seed_cols, R, C, max_cells):
+    """Closed-form closure for contributing sets that include W.
+
+    The W vector's rightward propagation makes every cone row a suffix
+    ``[L_r, C)``, and a down vector ``(+1, dj)`` shifts a suffix to
+    ``[L + dj, C)`` clipped to the table, so
+    ``L_r = min(L_{r-1} + m, s_r)`` with ``m`` the smallest down shift and
+    ``s_r`` the first seed column of row ``r`` (``C``, i.e. empty, when
+    there is none).  Substituting ``U_r = L_r - m*r`` turns the recurrence
+    into one ``minimum.accumulate``.  Clipping at 0 afterwards equals
+    clipping at every step, and ``L_r`` never exceeds ``C`` because a
+    seedless row carries ``s_r = C``.  When ``C == 1`` the NE shift
+    ``(+1, -1)`` leaves the table and is dropped.
+    """
+    r0 = int(seed_rows.min())
+    n = R - r0
+    first = np.full(n, C, dtype=np.int64)
+    np.minimum.at(first, seed_rows - r0, seed_cols)
+    shifts = [dj for dj in down_js if not (dj == -1 and C == 1)]
+    if shifts:
+        step = np.arange(n, dtype=np.int64) * min(shifts)
+        left = np.minimum.accumulate(first - step) + step
+        np.maximum(left, 0, out=left)
+    else:
+        left = first
+    width = C - left
+    if max_cells is not None:
+        running = np.cumsum(width)
+        if running[-1] > max_cells:
+            row = r0 + int(np.searchsorted(running, max_cells, side="right"))
+            raise _too_large(max_cells, row)
+    keep = np.flatnonzero(width)
+    left, width = left[keep], width[keep]
+    starts = np.cumsum(width) - width
+    li = np.repeat(keep + r0, width)
+    lj = np.arange(li.size, dtype=np.int64) + np.repeat(left - starts, width)
+    return li, lj
+
+
+def _row_sweep(down_js, seed_rows, seed_cols, R, C, max_cells):
+    """Closure for contributing sets without W: one sweep down the rows.
+
+    Every forward vector steps exactly one row, so row ``r`` is the union
+    of shifted copies of row ``r - 1`` plus its own seeds, built in two
+    reused row buffers.
+    """
     order = np.argsort(seed_rows, kind="stable")
     si, sj = seed_rows[order], seed_cols[order]
     row_ids = np.unique(si)
     starts = np.searchsorted(si, row_ids)
     ends = np.append(starts[1:], si.size)
-    offsets = forward_offsets(contributing)
-    down_js = [dj for di, dj in offsets if di == 1]
-    right = (0, 1) in offsets
 
     rows_touched: list[tuple[int, np.ndarray]] = []
     cone_cells = 0
-    first = int(row_ids[0])
     last_seed_row = int(row_ids[-1])
     cur = np.empty(C, dtype=bool)
     prev = np.empty(C, dtype=bool)
     have_prev = False
     seed_ptr = 0
-    for r in range(first, R):
+    for r in range(int(row_ids[0]), R):
         cur[:] = False
         if have_prev:
             for dj in down_js:
@@ -277,9 +366,7 @@ def materialize_cone(
         if seed_ptr < row_ids.size and row_ids[seed_ptr] == r:
             cur[sj[starts[seed_ptr]:ends[seed_ptr]]] = True
             seed_ptr += 1
-        if right and cur.any():
-            np.logical_or.accumulate(cur, out=cur)
-        cols = np.nonzero(cur)[0]
+        cols = np.flatnonzero(cur)
         if cols.size == 0:
             if r >= last_seed_row:
                 break
@@ -288,9 +375,7 @@ def materialize_cone(
         rows_touched.append((r, cols))
         cone_cells += int(cols.size)
         if max_cells is not None and cone_cells > max_cells:
-            raise DeltaUnsupported(
-                f"cone-too-large: > {max_cells} cells by row {r}"
-            )
+            raise _too_large(max_cells, r)
         cur, prev = prev, cur
         have_prev = True
 
@@ -298,20 +383,4 @@ def materialize_cone(
         np.full(cols.size, r, dtype=np.int64) for r, cols in rows_touched
     ])
     lj = np.concatenate([cols for _, cols in rows_touched])
-    t = np.asarray(schedule.iteration_of(li, lj), dtype=np.int64)
-    pos = np.asarray(schedule.position_of(li, lj), dtype=np.int64)
-    order = np.lexsort((pos, t))
-    t = t[order]
-    pos = pos[order]
-    new_span = np.empty(t.size, dtype=bool)
-    new_span[0] = True
-    if t.size > 1:
-        new_span[1:] = (np.diff(t) != 0) | (np.diff(pos) != 1)
-    starts = np.nonzero(new_span)[0]
-    ends = np.append(starts[1:], t.size)
-    spans = [
-        (int(t[s]), int(pos[s]), int(pos[e - 1]) + 1)
-        for s, e in zip(starts, ends)
-    ]
-    waves = int(np.count_nonzero(np.diff(t)) + 1)
-    return spans, waves, cone_cells
+    return li, lj

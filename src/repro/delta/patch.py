@@ -3,10 +3,13 @@
 ``delta_patch`` is the orchestrator the serve layer calls on a near-match
 cache probe.  It is deliberately *not* an executor: it produces a
 :class:`repro.exec.SolveResult` whose table is bit-identical to what any
-executor would compute fresh, by construction — the replay funnels through
-the same :func:`repro.exec.evaluate_span` / ``KernelPlan`` dispatcher every
-executor uses, in ascending wavefront order, over a copy of the base table
-whose only stale cells are exactly the cone.
+executor would compute fresh, by construction: it replays the cone in
+ascending wavefront order over a copy of the base table whose only stale
+cells are exactly the cone.  The replay skips the per-span dispatcher
+(:func:`repro.exec.evaluate_span`): the cone is compiled once into flat
+gather and scatter indices, and each wave is one gather -> cell -> scatter,
+the same contract as the generic span path, so the values agree by
+elementwise purity of the cell function.
 
 The probe that finds the stale cells has two gears.  With a declared
 ``payload_locality`` the payload diff maps straight to a small candidate
@@ -29,16 +32,18 @@ from typing import Any, Mapping
 
 import numpy as np
 
+from ..core.cellfunc import EvalContext
 from ..core.problem import LDDPProblem
 from ..errors import DeltaUnsupported
-from ..exec.base import ExecOptions, SolveResult, check_control, evaluate_span
+from ..exec.base import ExecOptions, SolveResult, check_control
 from ..faults import check_fault
 from ..obs import get_metrics, get_tracer
 from ..patterns.registry import strategy_for
 from .cone import (
+    Cone,
     candidate_mask,
+    forward_cone,
     forward_offsets,
-    materialize_cone,
     probe_cells,
     probe_seeds,
     verify_locality,
@@ -77,6 +82,50 @@ def _cells_differ(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.dtype.kind == "f":
         neq = neq & ~(np.isnan(a) & np.isnan(b))
     return neq
+
+
+def _replay(problem: LDDPProblem, flat: np.ndarray, cone: Cone,
+            opts: ExecOptions) -> int:
+    """Recompute the cone's cells wave by wave in ``flat``; returns the count.
+
+    Destination and per-neighbour gather indices are computed once for the
+    whole cone, with out-of-table reads pointing at the sentinel slot
+    ``flat[-1]``, which then holds ``oob_value`` (stored only when some
+    read needs it, like ``gather_neighbors``, so the cast fails exactly
+    when a fresh solve's would).  Each wave is then ``generic_span``'s
+    gather -> cell -> scatter contract on flat indices: one ``take`` per
+    neighbour, one cell call, one scatter.  Cells of one wave never read
+    each other, so the values equal the span dispatcher's by elementwise
+    purity.
+    """
+    rows, cols = problem.shape
+    gi = cone.rows + problem.fixed_rows
+    gj = cone.cols + problem.fixed_cols
+    dest = gi * cols + gj
+    reads = {}
+    for nb in problem.contributing:
+        di, dj = nb.offset
+        ni, nj = gi + di, gj + dj
+        idx = dest + (di * cols + dj)
+        outside = (ni < 0) | (ni >= rows) | (nj < 0) | (nj >= cols)
+        if outside.any():
+            idx[outside] = flat.size - 1
+            flat[-1] = problem.oob_value
+        reads[nb.value.lower()] = idx
+    what = f"delta patch of {problem.name!r}"
+    payload = problem.payload
+    cell = problem.cell
+    bounds = cone.bounds.tolist()
+    done = 0
+    for s, e in zip(bounds[:-1], bounds[1:]):
+        check_control(opts, what)
+        check_fault("exec.span")
+        neigh = {name: flat.take(idx[s:e]) for name, idx in reads.items()}
+        ctx = EvalContext(i=gi[s:e], j=gj[s:e], payload=payload, aux={},
+                          **neigh)
+        flat[dest[s:e]] = cell(ctx)
+        done += e - s
+    return done
 
 
 def delta_patch(
@@ -121,14 +170,18 @@ def delta_patch(
             inverted_l_as_horizontal=opts.inverted_l_as_horizontal,
         )
         schedule = strategy.schedule
-        table = base_result.table.copy()
         rows, cols = problem.shape
+        # The patched table lives in a flat buffer with one trailing
+        # sentinel slot for the replay's out-of-table reads.
+        flat = np.empty(rows * cols + 1, dtype=base_result.table.dtype)
+        table = flat[:-1].reshape(rows, cols)
+        table[...] = base_result.table
         fr, fc = problem.fixed_rows, problem.fixed_cols
         if diff["edited_entries"] == 0:
             # Byte-identical payload (the request differed only in name or
             # options hash): the base table already *is* the answer.
-            spans: list[tuple[int, int, int]] = []
-            waves = cone_cells = seeds = probed = 0
+            cone = Cone.empty()
+            seeds = probed = 0
             probe = "none"
         else:
             bi = bj = np.empty(0, dtype=np.int64)
@@ -183,19 +236,12 @@ def delta_patch(
                 si, sj = gi[hit] - fr, gj[hit] - fc
             seeds = int(si.size)
             max_cells = int(opts.delta_max_cone * problem.total_computed_cells)
-            spans, waves, cone_cells = materialize_cone(
+            cone = forward_cone(
                 schedule, problem.contributing, si, sj,
                 problem.computed_shape, max_cells=max_cells,
             )
-        recomputed = 0
-        current_t: int | None = None
-        for t, lo, hi in spans:
-            if t != current_t:
-                check_control(opts, f"delta patch of {problem.name!r}")
-                current_t = t
-            recomputed += evaluate_span(
-                problem, schedule, table, {}, t, lo, hi, options=opts
-            )
+        recomputed = _replay(problem, flat, cone, opts)
+        cone_cells, waves = cone.cells, cone.waves
         if recomputed != cone_cells:
             raise DeltaUnsupported(
                 f"cone accounting mismatch: recomputed {recomputed} != "

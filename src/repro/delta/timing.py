@@ -5,9 +5,9 @@ A delta patch performs
 * one cell-function pass over the computed region (the seed probe — same
   cost shape as the scan tier's zero probe), and
 * the cone replay: cone-volume cells of real recurrence work, paid one
-  fork/join per cone wavefront (the replay reuses the per-wavefront
-  ``evaluate_span`` dispatch, so the Python-level wave loop is charged at
-  the CPU model's fork cost, like the rowscan path).
+  fork/join per cone wavefront (the replay runs one Python-level
+  gather -> cell -> scatter per wave, charged at the CPU model's fork
+  cost, like the rowscan path).
 
 Both the patched result's ``simulated_time``/timeline and the SLO
 admission price (:func:`delta_makespan`) are built from one list of cost

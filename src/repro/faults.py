@@ -7,7 +7,8 @@ names** — stable strings named after the module seam they instrument:
 site                checked in
 ==================  ==========================================================
 ``exec.span``       :func:`repro.exec.base.evaluate_span` (every wavefront
-                    span dispatched by any executor)
+                    span dispatched by any executor) and every replayed
+                    delta-cone wave
 ``kernels.plan``    :meth:`repro.kernels.cache.PlanCache.get` (plan lookup /
                     compilation — a fault here degrades to the generic path)
 ``kernels.span``    :meth:`repro.kernels.plan.KernelPlan.execute` and

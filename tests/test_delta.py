@@ -3,12 +3,13 @@
 The load-bearing guarantees:
 
 * a delta-patched table is **bit-identical** to a fresh solve of the edited
-  instance, for every pattern and any number of edited payload cells — the
-  replay funnels through the same ``evaluate_span`` dispatcher as every
-  executor;
+  instance, for every pattern and any number of edited payload cells — each
+  replayed wave is the generic span's gather -> cell -> scatter, with
+  out-of-table reads served by an ``oob_value`` sentinel;
 * the recompute cost is accounted exactly: cells replayed == cone volume,
-  and an oversized cone degrades (``DeltaUnsupported``) instead of sweeping
-  the table;
+  the closure equals a brute-force forward fixpoint for all 15 contributing
+  sets, and an oversized cone degrades (``DeltaUnsupported``) instead of
+  sweeping the table;
 * ``payload_locality`` is a verified declaration: honest declarations make
   the probe edit-sized, lying ones are caught by the seeded spot-check and
   degrade, undeclared entries fall back to the sound global probe;
@@ -25,15 +26,22 @@ from __future__ import annotations
 
 import sys
 import threading
+import time
+from collections import deque
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.cancel
 from repro import ContributingSet, ExecOptions, Framework, LDDPProblem
+from repro.cancel import CancelToken
 from repro.cli import main as cli_main
+from repro.core.classification import classify
+from repro.core.schedule import schedule_for
 from repro.delta import (
     candidate_mask,
     delta_applicable,
@@ -41,17 +49,24 @@ from repro.delta import (
     delta_makespan,
     delta_patch,
     delta_timeline,
+    forward_cone,
     forward_offsets,
-    materialize_cone,
     payload_diff,
     probe_seeds,
     verify_locality,
 )
-from repro.errors import DeltaUnsupported, InjectedFault, ProblemSpecError
+from repro.errors import (
+    DeltaUnsupported,
+    InjectedFault,
+    ProblemSpecError,
+    ServiceTimeout,
+    SolveCancelled,
+)
 from repro.faults import inject_faults
 from repro.machine.platform import hetero_high
 from repro.obs import get_metrics
 from repro.patterns.registry import strategy_for
+from repro.problems import make_lcs, make_viterbi
 from repro.problems.checkerboard import make_checkerboard
 from repro.problems.levenshtein import make_levenshtein
 from repro.serve import ResultCache, ServiceConfig, SolveRequest, SolveService
@@ -106,6 +121,22 @@ def _patched_vs_fresh(base, edited):
                           platform=hetero_high(), options=DELTA_OPTS,
                           executor="cpu")
     return patched, fresh
+
+
+def _brute_force_cone(cs: ContributingSet, seeds, rows: int,
+                      cols: int) -> set[tuple[int, int]]:
+    """Forward fixpoint of ``seeds`` by breadth-first search."""
+    offsets = forward_offsets(cs)
+    cone = set(seeds)
+    queue = deque(cone)
+    while queue:
+        r, c = queue.popleft()
+        for di, dj in offsets:
+            nxt = (r + di, c + dj)
+            if 0 <= nxt[0] < rows and 0 <= nxt[1] < cols and nxt not in cone:
+                cone.add(nxt)
+                queue.append(nxt)
+    return cone
 
 
 # -- the bit-identity property ------------------------------------------------
@@ -215,24 +246,81 @@ class TestCone:
         schedule = problem.schedule()
         si = np.array([2], dtype=np.int64)
         sj = np.array([4], dtype=np.int64)
-        spans, waves, cone = materialize_cone(
-            schedule, cs, si, sj, problem.computed_shape
-        )
+        cone = forward_cone(schedule, cs, si, sj, problem.computed_shape)
         # rows 2..7, widening by one column on each side, clipped at 8
-        assert waves == 6
-        assert cone == sum(min(8, 1 + 2 * d) for d in range(6))
-        assert spans[0] == (2, 4, 5)
+        assert cone.waves == 6
+        assert cone.cells == sum(min(8, 1 + 2 * d) for d in range(6))
+        assert (cone.rows[0], cone.cols[0]) == (2, 4)
+        assert cone.bounds[1] == 1  # the first wave is that one cell
 
     def test_cone_cap_raises_delta_unsupported(self):
         cs = ContributingSet.of("NW", "N", "NE")
         problem = make_grid_problem(cs, n=16)
         schedule = problem.schedule()
         with pytest.raises(DeltaUnsupported, match="cone-too-large"):
-            materialize_cone(
+            forward_cone(
                 schedule, cs,
                 np.array([0], dtype=np.int64), np.array([0], dtype=np.int64),
                 problem.computed_shape, max_cells=3,
             )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        mask=st.integers(1, 15),
+        rows=st.integers(1, 24),
+        cols=st.integers(1, 24),
+        data=st.data(),
+    )
+    def test_closure_matches_brute_force_fixpoint(self, mask, rows, cols,
+                                                  data):
+        cs = ContributingSet.from_mask(mask)
+        k = data.draw(st.integers(1, 6), label="k")
+        seeds = data.draw(st.lists(
+            st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1)),
+            min_size=k, max_size=k,
+        ), label="seeds")
+        expected = _brute_force_cone(cs, seeds, rows, cols)
+        max_cells = data.draw(st.integers(1, rows * cols), label="max_cells")
+        schedule = schedule_for(classify(cs), rows, cols)
+        si = np.array([r for r, _ in seeds], dtype=np.int64)
+        sj = np.array([c for _, c in seeds], dtype=np.int64)
+        if len(expected) > max_cells:
+            with pytest.raises(DeltaUnsupported, match="cone-too-large"):
+                forward_cone(schedule, cs, si, sj, (rows, cols),
+                             max_cells=max_cells)
+        else:
+            forward_cone(schedule, cs, si, sj, (rows, cols),
+                         max_cells=max_cells)
+        cone = forward_cone(schedule, cs, si, sj, (rows, cols))
+        got = set(zip(cone.rows.tolist(), cone.cols.tolist()))
+        assert got == expected
+        assert cone.cells == len(expected)
+        # Replay order: ascending (iteration, position), one wave per
+        # iteration, and bounds split exactly where the iteration changes.
+        t = schedule.iteration_of(cone.rows, cone.cols)
+        pos = schedule.position_of(cone.rows, cone.cols)
+        key = list(zip(t.tolist(), pos.tolist()))
+        assert key == sorted(key)
+        assert cone.bounds[0] == 0 and cone.bounds[-1] == cone.cells
+        assert cone.waves == len(set(t.tolist()))
+        for s, e in zip(cone.bounds[:-1], cone.bounds[1:]):
+            assert e > s and len(set(t[s:e].tolist())) == 1
+
+    @pytest.mark.parametrize("mask", range(1, 16))
+    def test_closure_on_degenerate_shapes(self, mask):
+        # Single-row and single-column tables, every single seed: C == 1 is
+        # where the NE vector leaves the table and must not widen the cone.
+        cs = ContributingSet.from_mask(mask)
+        for rows, cols in [(1, 1), (1, 6), (6, 1), (2, 2)]:
+            schedule = schedule_for(classify(cs), rows, cols)
+            for r in range(rows):
+                for c in range(cols):
+                    cone = forward_cone(
+                        schedule, cs, np.array([r]), np.array([c]),
+                        (rows, cols),
+                    )
+                    got = set(zip(cone.rows.tolist(), cone.cols.tolist()))
+                    assert got == _brute_force_cone(cs, [(r, c)], rows, cols)
 
     def test_oversized_cone_degrades_through_the_patch(self):
         base = make_levenshtein(64)
@@ -242,6 +330,149 @@ class TestCone:
             delta_patch(edited, base.payload, base_result,
                         platform=hetero_high(),
                         options=ExecOptions(delta=True, delta_max_cone=0.01))
+
+
+# -- the flat-index replay ---------------------------------------------------
+
+
+def _patch(base, edited, options=DELTA_OPTS):
+    base_result = FRAMEWORK.solve(base, executor="cpu")
+    return delta_patch(edited, base.payload, base_result,
+                       platform=hetero_high(), options=options, executor="cpu")
+
+
+#: (label, base problem factory, payload entry, flat indices edited).
+PINNED_EDITS = [
+    ("levenshtein-a40", lambda: make_levenshtein(96), "a", [40]),
+    ("levenshtein-b90", lambda: make_levenshtein(96), "b", [90]),
+    ("lcs-a60", lambda: make_lcs(64), "a", [60]),
+    ("checkerboard-col0", lambda: make_checkerboard(48), "cost", [20 * 48]),
+    ("checkerboard-lastcol", lambda: make_checkerboard(48), "cost",
+     [30 * 48 + 47]),
+    ("viterbi-obs50", lambda: make_viterbi(64), "obs", [50]),
+]
+
+
+class TestReplay:
+    """The flat-index replay: out-of-table reads, stats, control, chaos."""
+
+    @pytest.mark.parametrize(
+        "label, factory, name, idx", PINNED_EDITS,
+        ids=[e[0] for e in PINNED_EDITS],
+    )
+    def test_patch_matches_the_sequential_oracle(self, label, factory, name,
+                                                 idx):
+        # Checkerboard edits at column 0 / the last column read NW / NE
+        # outside the table (inf), Viterbi's state 0 reads NW outside
+        # (NEG), and Levenshtein / LCS replay integer tables.
+        base = factory()
+        edited = _edit_entry(base, name, idx)
+        patched = _patch(base, edited)
+        assert patched.stats["solver"] == "delta"
+        assert patched.table.dtype == base.dtype
+        assert np.array_equal(patched.table, _oracle(edited))
+
+    def test_oob_value_reaches_edge_cells_through_the_sentinel(self):
+        # The grid problem takes the min over its neighbours, so a negative
+        # oob_value decides every edge cell that reads outside the table.
+        cs = ContributingSet.of("NW", "N", "NE")
+        base = replace(make_grid_problem(cs, n=16, seed=3), oob_value=-7)
+        edited = _edit_entry(base, "grid", [5 * 16, 9 * 16 + 15])
+        oracle = _oracle(edited)
+        grid = edited.payload["grid"]
+        assert np.array_equal(oracle[1:, 0], grid[1:, 0] - 7)
+        assert np.array_equal(oracle[1:, -1], grid[1:, -1] - 7)
+        patched = _patch(base, edited)
+        assert patched.stats["delta_cone_cells"] > 0
+        assert np.array_equal(patched.table, oracle)
+
+    def test_unrepresentable_oob_value_is_never_cast_without_a_read(self):
+        # Levenshtein's fixed row and column keep every read inside the
+        # table, so an integer table with oob_value=inf solves fresh, and
+        # must patch too.
+        base = replace(make_levenshtein(32), oob_value=np.inf)
+        edited = _edit_entry(base, "a", [30])
+        patched = _patch(base, edited)
+        assert patched.stats["delta_cone_cells"] > 0
+        assert np.array_equal(patched.table, _oracle(edited))
+
+    def test_stats_pinned_to_literal_values(self):
+        # The cone, its waves and its fraction follow from the geometry
+        # alone; any replay must report exactly these.
+        expected = {
+            "levenshtein-a40": (4760, 140, 0.5164930555555556),
+            "levenshtein-b90": (270, 50, 0.029296875),
+            "lcs-a60": (200, 53, 0.048828125),
+            "checkerboard-col0": (406, 28, 0.1799645390070922),
+            "checkerboard-lastcol": (171, 18, 0.07579787234042554),
+            "viterbi-obs50": (224, 14, 0.21875),
+        }
+        for label, factory, name, idx in PINNED_EDITS:
+            base = factory()
+            s = _patch(base, _edit_entry(base, name, idx)).stats
+            got = (s["delta_cone_cells"], s["delta_waves"],
+                   s["delta_cone_fraction"])
+            assert got == expected[label], label
+            assert s["delta_recomputed_cells"] == s["delta_cone_cells"]
+
+    @staticmethod
+    def _tripwire(base, after_calls, action):
+        """``base`` whose cell function runs ``action`` on call number
+        ``after_calls``."""
+        calls = [0]
+
+        def cell(ctx):
+            calls[0] += 1
+            if calls[0] == after_calls:
+                action()
+            return base.cell(ctx)
+
+        return replace(base, cell=cell), calls
+
+    def test_cancel_mid_replay_surfaces_solve_cancelled(self):
+        base = make_levenshtein(64)
+        base_result = FRAMEWORK.solve(base, executor="cpu")
+        token = CancelToken()
+        # The locality probe and its spot-check are two cell calls; call 5
+        # is the third replayed wave.
+        edited, calls = self._tripwire(_edit_entry(base, "a", [40]), 5,
+                                       token.cancel)
+        with pytest.raises(SolveCancelled):
+            delta_patch(edited, base.payload, base_result,
+                        platform=hetero_high(),
+                        options=DELTA_OPTS.replace(cancel_token=token))
+        assert calls[0] == 5
+
+    def test_deadline_mid_replay_surfaces_service_timeout(self, monkeypatch):
+        base = make_levenshtein(64)
+        base_result = FRAMEWORK.solve(base, executor="cpu")
+        # Call 5 moves the deadline checks' clock past any deadline.
+        late = SimpleNamespace(monotonic=lambda: float("inf"))
+        edited, calls = self._tripwire(
+            _edit_entry(base, "a", [40]), 5,
+            lambda: monkeypatch.setattr(repro.cancel, "time", late),
+        )
+        deadline = time.monotonic() + 3600
+        with pytest.raises(ServiceTimeout):
+            delta_patch(edited, base.payload, base_result,
+                        platform=hetero_high(),
+                        options=DELTA_OPTS.replace(deadline=deadline))
+        assert calls[0] == 5
+
+    def test_exec_span_fault_mid_replay_degrades_to_the_oracle(self):
+        base = make_levenshtein(48)
+        edited = _edit_entry(base, "a", [40])
+        cfg = ServiceConfig(workers=1, options=ExecOptions(delta=True))
+        with SolveService(hetero_high(), config=cfg) as svc:
+            svc.submit(SolveRequest(base)).result()
+            # Each replayed wave is one exec.span check, and the patch runs
+            # before any full-solve span: nth=3 fails the third wave.
+            with inject_faults("exec.span:nth=3"):
+                degraded = svc.submit(SolveRequest(edited)).result()
+        assert degraded.stats.get("degraded") == "full-solve"
+        assert "InjectedFault" in degraded.stats["delta_degraded_reason"]
+        assert "exec.span" in degraded.stats["delta_degraded_reason"]
+        assert np.array_equal(degraded.table, _oracle(edited))
 
 
 # -- the payload diff ---------------------------------------------------------
