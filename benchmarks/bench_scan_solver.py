@@ -9,8 +9,10 @@ it replaces. The rowscan path (error diffusion, all four neighbours, NE
 coefficient) is reported alongside for the trajectory — informational,
 tolerance-checked rather than bit-exact (float regrouping).
 
-Timings are full ``Framework.solve`` wall clock: scan runs are min-of-N;
-the wavefront baseline runs once at full size (it is the expensive side).
+Timings are full ``Framework.solve`` wall clock. Both arms — the scan tier
+and the wavefront path (``ExecOptions(scan=False)``) — get one untimed
+warm-up run and the same number of timed repetitions; the report gives the
+min and the median of each, and the gate uses the ratio of the minimums.
 Results land in ``benchmarks/results/scan_solver.txt`` and — the perf
 trajectory the ROADMAP asks for — in ``BENCH_scan.json`` at the repo root.
 
@@ -28,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -44,33 +47,47 @@ RESULTS_DIR = Path(__file__).parent / "results"
 TARGET_RATIO = 10.0
 
 
-def _timed_solve(fw, problem, options=None, reps: int = 1):
-    """Min-of-N wall clock of a full functional solve; returns (s, result)."""
-    best = None
-    result = None
+def _timed_solve(fw, problem, reps: int, options=None):
+    """One untimed warm-up, then ``reps`` timed full functional solves.
+
+    Returns ``(min s, median s, result of the last run)``.
+    """
+    result = fw.solve(problem, executor="cpu", options=options)
+    times = []
     for _ in range(reps):
         t0 = time.perf_counter()
         result = fw.solve(problem, executor="cpu", options=options)
-        s = time.perf_counter() - t0
-        best = s if best is None else min(best, s)
-    return best, result
+        times.append(time.perf_counter() - t0)
+    return min(times), statistics.median(times), result
 
 
-def _measure_prefix(fw, size: int, scan_reps: int, wf_reps: int) -> dict:
-    p = make_prefix_sum(size)
-    wf_s, wf_res = _timed_solve(
-        fw, p, options=ExecOptions(scan=False), reps=wf_reps
+def _measure_arms(fw, p, label: str, reps: int) -> tuple[dict, object, object]:
+    """Time the wavefront and scan arms of one workload alike."""
+    wf_s, wf_med, wf_res = _timed_solve(
+        fw, p, reps, options=ExecOptions(scan=False)
     )
-    scan_s, scan_res = _timed_solve(fw, p, reps=scan_reps)
+    scan_s, scan_med, scan_res = _timed_solve(fw, p, reps)
     assert scan_res.stats.get("solver") == "scan", scan_res.stats
-    oracle = reference_prefix_sum(p.payload["x"])
-    return {
-        "workload": f"prefix-sum-{size}",
+    row = {
+        "workload": label,
         "scan_path": scan_res.stats["scan_path"],
         "table_shape": list(p.shape),
         "wavefront_s": wf_s,
+        "wavefront_median_s": wf_med,
         "scan_s": scan_s,
+        "scan_median_s": scan_med,
         "ratio": wf_s / scan_s,
+        "ratio_median": wf_med / scan_med,
+    }
+    return row, wf_res, scan_res
+
+
+def _measure_prefix(fw, size: int, reps: int) -> dict:
+    p = make_prefix_sum(size)
+    row, wf_res, scan_res = _measure_arms(fw, p, f"prefix-sum-{size}", reps)
+    oracle = reference_prefix_sum(p.payload["x"])
+    return {
+        **row,
         "exact_vs_oracle": bool(np.array_equal(scan_res.table, oracle)),
         "exact_vs_wavefront": bool(
             np.array_equal(scan_res.table, wf_res.table)
@@ -78,20 +95,11 @@ def _measure_prefix(fw, size: int, scan_reps: int, wf_reps: int) -> dict:
     }
 
 
-def _measure_diffusion(fw, size: int, scan_reps: int, wf_reps: int) -> dict:
+def _measure_diffusion(fw, size: int, reps: int) -> dict:
     p = make_diffusion(size)
-    wf_s, wf_res = _timed_solve(
-        fw, p, options=ExecOptions(scan=False), reps=wf_reps
-    )
-    scan_s, scan_res = _timed_solve(fw, p, reps=scan_reps)
-    assert scan_res.stats.get("solver") == "scan", scan_res.stats
+    row, wf_res, scan_res = _measure_arms(fw, p, f"diffusion-{size}", reps)
     return {
-        "workload": f"diffusion-{size}",
-        "scan_path": scan_res.stats["scan_path"],
-        "table_shape": list(p.shape),
-        "wavefront_s": wf_s,
-        "scan_s": scan_s,
-        "ratio": wf_s / scan_s,
+        **row,
         "close_to_wavefront": bool(
             np.allclose(scan_res.table, wf_res.table, rtol=1e-9, atol=1e-9)
         ),
@@ -100,10 +108,9 @@ def _measure_diffusion(fw, size: int, scan_reps: int, wf_reps: int) -> dict:
 
 def measure(quick: bool = False, reps: int = 5) -> dict:
     size = 512 if quick else 2048
-    wf_reps = 2 if quick else 1
     fw = Framework(hetero_high())
-    prefix = _measure_prefix(fw, size, reps, wf_reps)
-    diffusion = _measure_diffusion(fw, size // 2, reps, wf_reps)
+    prefix = _measure_prefix(fw, size, reps)
+    diffusion = _measure_diffusion(fw, size // 2, reps)
     return {
         "benchmark": "scan_solver",
         "target_ratio": TARGET_RATIO,
@@ -119,7 +126,8 @@ def report(r: dict) -> str:
             if r["ratio_gate_active"] else "ratio informational (quick)")
     lines = [
         f"scan tier — declared-linear solves vs the wavefront path "
-        f"(min of {r['reps']} scan runs, {gate})"
+        f"(min / median of {r['reps']} runs per arm after one warm-up, "
+        f"{gate})"
     ]
     for w in r["workloads"]:
         exact = w.get("exact_vs_oracle")
@@ -131,9 +139,11 @@ def report(r: dict) -> str:
         )
         lines.append(
             f"  {w['workload']:<18} {w['scan_path']:<10} "
-            f"wavefront {w['wavefront_s'] * 1e3:9.2f} ms   "
-            f"scan {w['scan_s'] * 1e3:7.2f} ms   "
-            f"{w['ratio']:7.2f}x   {check}"
+            f"wavefront {w['wavefront_s'] * 1e3:8.2f} / "
+            f"{w['wavefront_median_s'] * 1e3:8.2f} ms   "
+            f"scan {w['scan_s'] * 1e3:6.2f} / "
+            f"{w['scan_median_s'] * 1e3:6.2f} ms   "
+            f"{w['ratio']:6.2f}x / {w['ratio_median']:6.2f}x   {check}"
         )
     return "\n".join(lines)
 

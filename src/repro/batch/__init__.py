@@ -11,11 +11,11 @@ cell call per wavefront when payloads are identical (*stacked* tier), a
 per-instance call over the shared stack otherwise (*swept* tier).
 
 Entry points: ``Framework.solve_many`` / :func:`repro.solve_many` for
-programmatic fleets, ``SolveService(coalesce_window=...)`` for transparent
-request coalescing in the serve layer, and ``repro-lddp batch`` on the CLI.
-Results are bit-identical to per-instance solves; per-item deadlines,
-cancellation, degradation and the ``batch.execute`` fault site are honored
-throughout. See ``docs/batching.md``.
+programmatic fleets, ``ServiceConfig(coalesce_window=...)`` on a
+``SolveService`` for transparent request coalescing in the serve layer, and
+``repro-lddp batch`` on the CLI. Results are bit-identical to per-instance
+solves; per-item deadlines, cancellation, degradation and the
+``batch.execute`` fault site are honored throughout. See ``docs/batching.md``.
 """
 
 from .executor import execute_group, execute_items

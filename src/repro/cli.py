@@ -7,7 +7,7 @@ Examples::
     repro-lddp figure fig10 --quick
     repro-lddp solve levenshtein --size 512 --platform high --executor hetero
     repro-lddp solve lcs --size 256 --trace out.json --metrics
-    repro-lddp solve dithering --size 256 --executor cpu-blocked --dataflow
+    repro-lddp solve dithering --size 256 --executor cpu-blocked
     repro-lddp serve --requests 64 --workers 4 --metrics
     repro-lddp serve --requests 64 --coalesce-window 0.02 --no-cache
     repro-lddp serve --requests 64 --slo --timeout 0.5 --workers 4
@@ -31,13 +31,6 @@ queued requests into one batched execution (``--max-batch`` caps the batch;
 in code) disables the compiled kernel plans of :mod:`repro.kernels` and runs
 every span through the generic gather/scatter — the ablation baseline of
 docs/performance.md.
-
-``--dataflow`` (on ``solve``; ``ExecOptions(dataflow=True)`` in code) runs
-the ``cpu-blocked`` executor barrier-free: a dependency-counted ready queue
-(:mod:`repro.dataflow`) replaces the per-block-wavefront fork/join, with the
-DES switched to its list-scheduled dataflow mode. Combine with
-``--executor cpu-blocked``; tables stay bit-identical to every other
-executor.
 
 ``serve --delta`` (``ExecOptions(delta=True)`` in code) turns the request
 stream into near-duplicate traffic (each cycle re-requests the mix with a
@@ -159,8 +152,6 @@ def _cmd_solve(args) -> int:
     opt_kwargs = {}
     if args.no_kernel_fastpath:
         opt_kwargs["kernel_fastpath"] = False
-    if args.dataflow:
-        opt_kwargs["dataflow"] = True
     if args.no_scan:
         opt_kwargs["scan"] = False
     options = ExecOptions(**opt_kwargs) if opt_kwargs else None
@@ -179,7 +170,7 @@ def _cmd_solve(args) -> int:
     print(f"executor  : {res.executor}")
     print(f"simulated : {res.simulated_ms:.3f} ms")
     for key in ("t_switch", "t_share", "cpu_utilization", "gpu_utilization",
-                "schedule", "worker_occupancy", "max_queue_depth", "solver",
+                "solver",
                 "scan_path", "degraded", "degraded_reason",
                 "scan_degraded_reason", "delta_seeds", "delta_cone_cells",
                 "delta_cone_fraction", "delta_degraded_reason"):
@@ -569,12 +560,6 @@ def main(argv: list[str] | None = None) -> int:
         "--no-kernel-fastpath", action="store_true",
         help="disable the compiled kernel-plan fast path — every span runs "
              "the generic masked gather/scatter (A/B baseline)",
-    )
-    p.add_argument(
-        "--dataflow", action="store_true",
-        help="barrier-free tile execution on the cpu-blocked executor: a "
-             "dependency-counted ready queue replaces the per-block-wavefront "
-             "fork/join (see docs/performance.md)",
     )
     p.add_argument(
         "--no-scan", action="store_true",

@@ -4,8 +4,7 @@ The local-dependency property gives every edit a bounded blast radius:
 cell (i, j) feeds exactly the cells that read it as a contributing
 neighbour, i.e. the positions ``(i, j) - offset`` for each contributing
 offset.  Negating the contributing offsets therefore yields the *forward
-dependency vectors* — the same vectors :class:`repro.dataflow.TileGraph`
-uses on the block grid, applied here at cell granularity:
+dependency vectors*, at cell granularity:
 
     W  (0, -1)  ->  (0, +1)        N  (-1, 0)  ->  (+1, 0)
     NW (-1, -1) ->  (+1, +1)       NE (-1, +1) ->  (+1, -1)

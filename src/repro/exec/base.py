@@ -61,20 +61,6 @@ class ExecOptions:
         (:mod:`repro.kernels`). Off: every span runs the generic masked
         gather/scatter path — the A/B knob behind the CLI's
         ``--no-kernel-fastpath``.
-    dataflow:
-        Run the blocked executor (``cpu-blocked``) barrier-free: tiles are
-        scheduled by a dependency-counted ready queue (:mod:`repro.dataflow`)
-        instead of fork/joining at every block wavefront, and the timing
-        model switches to the DES's list-scheduled dataflow mode. The CLI's
-        ``--dataflow``. Tables stay bit-identical; a dataflow failure
-        degrades back to the barrier path.
-    dataflow_workers:
-        Host worker-thread count for the dataflow pool (default: the
-        process's CPU affinity count, see
-        :func:`repro.dataflow.default_workers`). A tuning knob for the
-        *real* sweep only — the timing model always uses the platform's
-        modeled core count — so it is excluded from the cache-key ``repr``
-        like ``deadline``.
     scan:
         Offer declared-linear problems (``LDDPProblem.linear``) to the scan
         tier (:mod:`repro.scan`) before the wavefront path — prefix scans
@@ -96,7 +82,7 @@ class ExecOptions:
         exceeds this fraction of the computed region (the wave clip —
         patching near-full tables costs more than resolving them). A
         tuning knob, excluded from the cache-key ``repr`` like
-        ``dataflow_workers``.
+        ``deadline``.
     degrade_to_cpu:
         When the GPU machine model fails mid-run (a
         :class:`~repro.errors.PlatformError` or injected fault), the
@@ -122,8 +108,6 @@ class ExecOptions:
     validate_timeline: bool = False
     block_size: int = 64
     kernel_fastpath: bool = True
-    dataflow: bool = False
-    dataflow_workers: int | None = field(default=None, repr=False, compare=False)
     scan: bool = True
     delta: bool = False
     delta_max_cone: float = field(default=0.5, repr=False, compare=False)

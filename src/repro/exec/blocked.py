@@ -19,13 +19,6 @@ Tile shape is chosen per contributing set:
 The trade: coarser tiles mean fewer parallel units, so very large blocks
 starve cores. ``benchmarks/bench_ablation_blocking.py`` sweeps the block
 size and exposes the resulting U-curve.
-
-``ExecOptions.dataflow`` removes the barrier entirely: tiles run under the
-dependency-counted ready queue of :mod:`repro.dataflow` (a tile starts the
-moment its predecessor tiles finish), the timing model switches to the
-DES's list-scheduled dataflow mode, and any dataflow failure that is not a
-deadline/cancel degrades back to this barrier path bit-identically
-(``dataflow.degraded``).
 """
 
 from __future__ import annotations
@@ -38,7 +31,7 @@ from ..core.blocking import Block, SkewedBlock, grid_for
 from ..core.cellfunc import EvalContext, gather_neighbors
 from ..core.problem import LDDPProblem
 from ..core.schedule import schedule_for
-from ..errors import ExecutionError, ServiceTimeout, SolveCancelled
+from ..errors import ExecutionError
 from ..obs import get_metrics, get_tracer
 from ..patterns.registry import strategy_for
 from ..sim.engine import Engine
@@ -59,9 +52,8 @@ def _local_schedule(pattern, rows: int, cols: int):
     """Per-tile cell schedules, memoized.
 
     Every tile of one grid shares a handful of distinct geometries (interior
-    tiles are all ``block x block``), and the dataflow pool hits this from
-    many threads at once — ``schedule_for`` itself is uncached pure
-    geometry, so memoize here. Identity-stable results also keep
+    tiles are all ``block x block``) and ``schedule_for`` itself is uncached
+    pure geometry, so memoize here. Identity-stable results also keep
     ``evaluate_span``'s one-entry hot-state memo effective across tiles.
     """
     return schedule_for(pattern, rows, cols)
@@ -146,8 +138,6 @@ class BlockedCPUExecutor(Executor):
             raise ExecutionError("block_size must be positive")
         self.block_size = block_size
 
-    # -- barrier path ---------------------------------------------------------
-
     def _barrier_sweep(
         self, problem, pattern, grid, skewed, table, aux
     ) -> int:
@@ -160,7 +150,9 @@ class BlockedCPUExecutor(Executor):
             if not blocks:
                 continue
             # Row-major order within the wave. Every cross-tile dependency
-            # offset is componentwise <= 0 (see repro.dataflow.graph), so
+            # offset is componentwise <= 0: a cell reads only the same or
+            # the previous row, and a column (square tiles, NE-free sets)
+            # or knight index (skewed tiles) that is no larger. So
             # ascending (bi, bj) is a valid sequential order even on waves
             # that carry *intra*-wave tile dependencies — the inverted-L
             # Γ-wave, whose block>1 tiles fan {NW} into W/N/NW neighbours
@@ -205,72 +197,6 @@ class BlockedCPUExecutor(Executor):
             )
         return engine.run(), num_blocks
 
-    # -- dataflow path --------------------------------------------------------
-
-    def _dataflow_run(
-        self, problem, pattern, grid, skewed, work, table, aux, functional
-    ):
-        """Barrier-free execution + its DES model.
-
-        Returns ``(timeline, total_done, num_tiles, extra_stats)``; a
-        non-control failure of the ready-queue sweep degrades to the barrier
-        path (fresh table, bit-identical result) and reports barrier timing.
-        """
-        from ..dataflow import dataflow_timeline, graph_for, run_dataflow
-
-        check_control(self.options, f"solve of {problem.name!r}")
-        graph = graph_for(grid, problem.contributing)
-        stats: dict = {"schedule": "dataflow", "tiles": graph.num_nodes}
-        total_done = 0
-        if functional:
-            try:
-                df = run_dataflow(
-                    problem, pattern, table, aux, grid, graph,
-                    workers=self.options.dataflow_workers,
-                    fastpath=self.options.kernel_fastpath,
-                    options=self.options,
-                )
-            except (ServiceTimeout, SolveCancelled):
-                raise
-            except Exception as exc:
-                reason = f"{type(exc).__name__}: {exc}"
-                metrics = get_metrics()
-                metrics.counter("dataflow.degraded").inc()
-                metrics.counter(f"exec.{self.name}.degraded").inc()
-                with get_tracer().span(
-                    "dataflow.degraded", cat="degrade",
-                    problem=problem.name, reason=reason,
-                ):
-                    # A partially-written table is value-correct but start
-                    # fresh anyway: the barrier rerun must not depend on how
-                    # far the pool got.
-                    table2 = problem.make_table()
-                    aux2 = problem.make_aux()
-                    total_done = self._barrier_sweep(
-                        problem, pattern, grid, skewed, table2, aux2
-                    )
-                    table[...] = table2
-                    for k, arr in aux2.items():
-                        aux[k][...] = arr
-                timeline, num_blocks = self._barrier_timeline(problem, grid, work)
-                stats.update(
-                    schedule="barrier",
-                    degraded="barrier",
-                    degraded_reason=reason,
-                )
-                return timeline, total_done, num_blocks, stats
-            total_done = df.cells
-            stats.update(
-                pool_workers=df.workers,
-                max_queue_depth=df.max_queue_depth,
-                tile_wait_s=round(df.wait_s, 6),
-                worker_occupancy=round(df.occupancy, 4),
-            )
-        timeline = dataflow_timeline(grid, graph, self.platform.cpu, work)
-        stats["model_workers"] = self.platform.cpu.cores
-        nonempty = sum(1 for t in range(grid.num_iterations) for _ in grid.blocks(t))
-        return timeline, total_done, nonempty, stats
-
     # -- entry point ----------------------------------------------------------
 
     def _run(self, problem: LDDPProblem, functional: bool) -> SolveResult:
@@ -286,32 +212,23 @@ class BlockedCPUExecutor(Executor):
             rows, cols, self.block_size, pattern=pattern, skewed=skewed
         )
         work = problem.cpu_work * strategy.cpu_overhead
-        dataflow = self.options.dataflow
 
         table = aux = None
         if functional:
             table = problem.make_table()
             aux = problem.make_aux()
 
-        tracer = get_tracer()
-        extra: dict = {}
-        with tracer.span(
+        with get_tracer().span(
             "cpu-blocked.solve", cat="executor",
             problem=problem.name, pattern=pattern.value, functional=functional,
             block_size=self.block_size, tiling="skewed" if skewed else "square",
-            schedule="dataflow" if dataflow else "barrier",
         ):
-            if dataflow:
-                timeline, total_done, num_blocks, extra = self._dataflow_run(
-                    problem, pattern, grid, skewed, work, table, aux, functional
-                )
-            else:
-                total_done = (
-                    self._barrier_sweep(problem, pattern, grid, skewed, table, aux)
-                    if functional
-                    else 0
-                )
-                timeline, num_blocks = self._barrier_timeline(problem, grid, work)
+            total_done = (
+                self._barrier_sweep(problem, pattern, grid, skewed, table, aux)
+                if functional
+                else 0
+            )
+            timeline, num_blocks = self._barrier_timeline(problem, grid, work)
             if functional and total_done != problem.total_computed_cells:
                 raise ExecutionError(
                     f"swept {total_done} cells, expected {problem.total_computed_cells}"
@@ -324,9 +241,7 @@ class BlockedCPUExecutor(Executor):
             "blocks": num_blocks,
             "tiling": "skewed" if skewed else "square",
             "strategy": strategy.name,
-            "schedule": "dataflow" if dataflow else "barrier",
         }
-        stats.update(extra)
         return SolveResult(
             problem=problem.name,
             executor=self.name,

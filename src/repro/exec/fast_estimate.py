@@ -215,22 +215,18 @@ def fast_blocked_makespan(
 ) -> float:
     """Simulated seconds for a ``cpu-blocked`` run, no task graph.
 
-    The phase model matches the blocked executor's DES exactly in both of
-    its modes (``tests/test_dataflow.py`` asserts exact agreement with
-    ``BlockedCPUExecutor.estimate``):
-
-    * **barrier**: the engine serializes one LPT-packed
-      :meth:`~repro.machine.cpu.CPUModel.blocked_time` task per block
-      wavefront on a single ``cpu`` resource, so the makespan is their sum —
-      including the ramp-up/ramp-down waves where only a few tiles exist and
-      most cores idle behind the barrier. The previous practice of pricing
-      blocked runs with :func:`fast_hetero_makespan` had no notion of that
-      barrier idle (it models per-cell splits, not fork/joined tiles) and
-      systematically underestimated ramp-heavy geometries — a *shape* error
-      on Knight-move and native Inverted-L that per-executor EWMA
-      calibration cannot repair;
-    * **dataflow** (``options.dataflow``): the list-scheduled tile DAG of
-      :mod:`repro.sim.dataflow` on ``cpu.cores`` model workers.
+    The phase model matches the blocked executor's DES exactly
+    (``tests/test_blocking.py`` asserts exact agreement with
+    ``BlockedCPUExecutor.estimate``): the engine serializes one LPT-packed
+    :meth:`~repro.machine.cpu.CPUModel.blocked_time` task per block
+    wavefront on a single ``cpu`` resource, so the makespan is their sum —
+    including the ramp-up/ramp-down waves where only a few tiles exist and
+    most cores idle behind the barrier. The previous practice of pricing
+    blocked runs with :func:`fast_hetero_makespan` had no notion of that
+    barrier idle (it models per-cell splits, not fork/joined tiles) and
+    systematically underestimated ramp-heavy geometries — a *shape* error
+    on Knight-move and native Inverted-L that per-executor EWMA
+    calibration cannot repair.
     """
     options = options or ExecOptions()
     strategy = strategy_for(
@@ -245,14 +241,6 @@ def fast_blocked_makespan(
     grid = grid_for(rows, cols, block, pattern=pattern, skewed=skewed)
     work = problem.cpu_work * strategy.cpu_overhead
     cpu = platform.cpu
-
-    if options.dataflow:
-        from ..dataflow import graph_for, simulate_dataflow
-
-        graph = graph_for(grid, problem.contributing)
-        sched, _ = simulate_dataflow(grid, graph, cpu, work)
-        return sched.makespan
-
     total = 0.0
     for t in range(grid.num_iterations):
         if not t & 1023:  # cooperative checkpoint, amortized over the scan

@@ -16,9 +16,6 @@ site                checked in
                     fault here degrades that span to the generic path)
 ``batch.execute``   :func:`repro.batch.execute_group` (a fault here degrades
                     the whole group to per-instance solves)
-``dataflow.tile``   :func:`repro.dataflow.run_dataflow` worker, once per
-                    dequeued tile (a fault here degrades the solve to the
-                    barrier blocked path, bit-identically)
 ``scan.solve``      :func:`repro.scan.try_scan_solve`, once per scan-tier
                     attempt (a fault here degrades the solve to the
                     executor's wavefront path, bit-identically)

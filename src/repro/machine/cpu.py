@@ -44,11 +44,6 @@ class CPUModel:
         Multiplier on ``cell_ns`` when the wavefront is not stored
         contiguously (cache-line waste on strided access); mild compared to
         the GPU's coalescing penalty.
-    dequeue_us:
-        Microseconds a dataflow worker pays to pull one tile from the ready
-        queue (lock + dependency-count bookkeeping) — the per-tile analogue
-        of ``fork_us``, charged by :meth:`tile_time` instead of a per-wave
-        fork.
     """
 
     name: str
@@ -59,7 +54,6 @@ class CPUModel:
     parallel_efficiency: float = 0.85
     fork_us: float = 3.0
     strided_penalty: float = 1.15
-    dequeue_us: float = 0.5
 
     def __post_init__(self) -> None:
         if self.cores < 1:
@@ -74,8 +68,6 @@ class CPUModel:
             raise PlatformError("fork_us cannot be negative")
         if self.strided_penalty < 1:
             raise PlatformError("strided_penalty must be >= 1")
-        if self.dequeue_us < 0:
-            raise PlatformError("dequeue_us cannot be negative")
 
     # -- costs (seconds) ----------------------------------------------------
 
@@ -127,17 +119,6 @@ class CPUModel:
             raise PlatformError("cells cannot be negative")
         per_cell = self.cell_ns * (1.0 if contiguous else self.strided_penalty)
         return cells * work * per_cell * 1e-9
-
-    def tile_time(self, cells: int, work: float = 1.0) -> float:
-        """Seconds for one dataflow worker to dequeue + sweep one tile.
-
-        One contiguous sequential pass plus the per-tile dequeue overhead;
-        no fork/join — the ready queue replaces the barrier, so Sec. IV-A's
-        per-wavefront fork cost moves to a (smaller) per-tile one.
-        """
-        if cells == 0:
-            return 0.0
-        return self.dequeue_us * 1e-6 + self.sequential_time(cells, work)
 
     @property
     def peak_cells_per_second(self) -> float:

@@ -10,10 +10,11 @@ A scan solve performs
   and a per-row dispatch overhead (the Python row loop), charged at the CPU
   model's fork cost.
 
-The same numbers feed the result's ``simulated_time``/timeline and the
-serve/SLO admission price (:meth:`repro.slo.pricing.Pricer`), so a linear
-request is priced as the scan it will actually run, not as the wavefront
-sweep it avoids.
+The result's ``simulated_time``/timeline and the serve/SLO admission price
+(:meth:`repro.slo.pricing.Pricer`) are built from one list of cost terms
+(:func:`_cost_terms`), so the price equals the timeline's makespan: a
+linear request is priced as the scan it will actually run, not as the
+wavefront sweep it avoids.
 """
 
 from __future__ import annotations
@@ -50,39 +51,35 @@ def scan_passes(problem: LDDPProblem) -> tuple[int, str]:
     return upper + _axis_passes(spec.w, C), "rowscan"
 
 
-def scan_timeline(problem: LDDPProblem, platform):
-    """DES timeline of one scan solve: the probe task plus the scan passes."""
+def _cost_terms(problem: LDDPProblem, platform) -> list[tuple[str, float]]:
+    """The scan's serial ``(label, seconds)`` terms: probe, then passes."""
     cpu = platform.cpu
     cells = problem.total_computed_cells
     passes, path = scan_passes(problem)
-    engine = Engine()
-    engine.task(
-        "cpu",
-        cpu.parallel_time(cells, problem.cpu_work),
-        label="scan.probe",
-        kind="compute",
-    )
+    terms = [("scan.probe", cpu.parallel_time(cells, problem.cpu_work))]
     scan_time = passes * cpu.parallel_time(cells, 1.0)
     if path == "rowscan":
         R, _ = problem.computed_shape
         scan_time += R * cpu.fork_us * 1e-6
     if scan_time > 0:
-        engine.task("cpu", scan_time, label=f"scan.{path}", kind="compute")
+        terms.append((f"scan.{path}", scan_time))
+    return terms
+
+
+def scan_timeline(problem: LDDPProblem, platform):
+    """DES timeline of one scan solve: the probe task plus the scan passes."""
+    engine = Engine()
+    for label, seconds in _cost_terms(problem, platform):
+        engine.task("cpu", seconds, label=label, kind="compute")
     return engine.run()
 
 
 def scan_makespan(problem: LDDPProblem, platform, options=None) -> float:
     """Closed-form seconds for one scan solve (the admission price).
 
-    ``options`` is accepted for signature parity with the wavefront pricing
-    models; the scan cost does not depend on any of its knobs.
+    Built from the same cost terms as :func:`scan_timeline`, so it equals
+    that timeline's makespan exactly. ``options`` is accepted for signature
+    parity with the wavefront pricing models; the scan cost does not depend
+    on any of its knobs.
     """
-    cpu = platform.cpu
-    cells = problem.total_computed_cells
-    passes, path = scan_passes(problem)
-    total = cpu.parallel_time(cells, problem.cpu_work)
-    total += passes * cpu.parallel_time(cells, 1.0)
-    if path == "rowscan":
-        R, _ = problem.computed_shape
-        total += R * cpu.fork_us * 1e-6
-    return total
+    return sum(seconds for _, seconds in _cost_terms(problem, platform))

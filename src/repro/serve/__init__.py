@@ -9,9 +9,9 @@ a short window and drains batch-compatible queued requests (same
 :func:`~repro.batch.batch_key`) into one batched execution — see
 ``docs/batching.md``.
 
-    from repro.serve import SolveRequest, SolveService
+    from repro.serve import ServiceConfig, SolveRequest, SolveService
 
-    with SolveService(workers=4) as svc:
+    with SolveService(config=ServiceConfig(workers=4)) as svc:
         result = svc.solve(problem)                 # sync convenience
         pending = svc.submit(SolveRequest(problem)) # async future
         result = pending.result(timeout=1.0)

@@ -9,11 +9,7 @@ redesigns that surface into a single frozen dataclass:
   (``describe()``), and echoed back verbatim from ``stats()["config"]``;
 * ``backend`` selects the execution backend: ``"thread"`` (the in-process
   worker pool of PRs 2-6) or ``"process"`` (the process pool with
-  shared-memory result transport — see :mod:`repro.serve.backends`);
-* the legacy constructor kwargs remain accepted through exactly one
-  deprecation shim, :meth:`ServiceConfig.from_kwargs`, which emits a
-  :class:`DeprecationWarning` naming the kwargs used. Repo-internal callers
-  are migrated; CI turns the warning into an error so none regress.
+  shared-memory result transport — see :mod:`repro.serve.backends`).
 
 Usage::
 
@@ -22,14 +18,11 @@ Usage::
     cfg = ServiceConfig(backend="process", workers=4, cache_size=256)
     with SolveService(platform, config=cfg) as svc:
         ...
-
-Migration table (old kwarg -> config field) in ``docs/serving.md``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Any
 
@@ -46,22 +39,6 @@ BACKENDS = ("thread", "process")
 DELTA_NEEDS_THREADS = (
     "delta solving needs the thread backend: the process backend's "
     "shared-memory cache keeps no base payloads to patch from"
-)
-
-#: The legacy ``SolveService(...)`` keyword names the shim accepts. Field
-#: names were kept identical on purpose: migration is mechanical.
-_LEGACY_KWARGS = (
-    "workers",
-    "queue_size",
-    "cache_size",
-    "default_timeout",
-    "retries",
-    "backoff_base",
-    "backoff_max",
-    "options",
-    "coalesce_window",
-    "max_batch",
-    "slo",
 )
 
 
@@ -175,33 +152,6 @@ class ServiceConfig:
     def replace(self, **changes) -> "ServiceConfig":
         """A copy with ``changes`` applied (re-validated)."""
         return dataclasses.replace(self, **changes)
-
-    @classmethod
-    def from_kwargs(cls, *, _warn: bool = True, **kwargs) -> "ServiceConfig":
-        """The deprecation shim: legacy ``SolveService(...)`` kwargs -> config.
-
-        Accepts exactly the pre-redesign constructor keywords (field names
-        are unchanged) and emits one :class:`DeprecationWarning` naming the
-        kwargs used. Unknown names raise ``TypeError`` like a misspelled
-        keyword argument always did.
-        """
-        unknown = set(kwargs) - set(_LEGACY_KWARGS)
-        if unknown:
-            raise TypeError(
-                f"unexpected SolveService keyword(s) {sorted(unknown)}; "
-                f"configure via ServiceConfig(...) — legacy kwargs are "
-                f"{sorted(_LEGACY_KWARGS)}"
-            )
-        if kwargs and _warn:
-            warnings.warn(
-                "SolveService keyword configuration "
-                f"({', '.join(sorted(kwargs))}) is deprecated; pass "
-                "config=ServiceConfig(...) instead (see docs/serving.md "
-                "for the migration table)",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-        return cls(**kwargs)
 
     # -- introspection ---------------------------------------------------------
 

@@ -207,12 +207,6 @@ class SolveService:
         way to configure the service (queue, cache, retries, coalescing,
         SLO policy, and the execution ``backend``). ``stats()["config"]``
         echoes the resolved config back.
-    **legacy:
-        The pre-redesign constructor keywords (``workers=``,
-        ``queue_size=``, ...), accepted through
-        :meth:`ServiceConfig.from_kwargs` with a :class:`DeprecationWarning`.
-        Mutually exclusive with ``config``. See ``docs/serving.md`` for the
-        migration table.
 
     Execution is delegated to the configured backend
     (:mod:`repro.serve.backends`): ``"thread"`` runs solves on the service's
@@ -228,21 +222,13 @@ class SolveService:
         self,
         platform: Platform | None = None,
         config: ServiceConfig | None = None,
-        **legacy,
     ) -> None:
-        if config is not None:
-            if legacy:
-                raise TypeError(
-                    "pass either config=ServiceConfig(...) or legacy "
-                    f"keyword arguments, not both (got {sorted(legacy)})"
-                )
-            if not isinstance(config, ServiceConfig):
-                raise TypeError(
-                    f"config must be a ServiceConfig, got "
-                    f"{type(config).__name__}"
-                )
-        else:
-            config = ServiceConfig.from_kwargs(**legacy)
+        if config is None:
+            config = ServiceConfig()
+        elif not isinstance(config, ServiceConfig):
+            raise TypeError(
+                f"config must be a ServiceConfig, got {type(config).__name__}"
+            )
         slo = config.slo
         if slo is not None:
             config = config.replace(workers=max(

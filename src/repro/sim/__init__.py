@@ -15,7 +15,6 @@ including the overlap that CUDA streams buy (paper Sec. IV-C1).
 
 from .event import Task
 from .engine import Engine
-from .dataflow import DataflowSchedule, schedule_tiles, tile_timeline
 from .stream import Stream
 from .timeline import Timeline, TaskRecord
 
@@ -25,7 +24,4 @@ __all__ = [
     "Stream",
     "Timeline",
     "TaskRecord",
-    "DataflowSchedule",
-    "schedule_tiles",
-    "tile_timeline",
 ]

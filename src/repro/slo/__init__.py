@@ -18,12 +18,12 @@ fault injection) say what happens when things go wrong; this package is the
 
 Usage::
 
-    from repro.serve import SolveService
+    from repro.serve import ServiceConfig, SolveService
     from repro.slo import SLOPolicy
 
     policy = SLOPolicy(min_workers=1, max_workers=8,
                        tenant_quotas={"free-tier": (50.0, 20)})
-    with SolveService(workers=2, slo=policy) as svc:
+    with SolveService(config=ServiceConfig(workers=2, slo=policy)) as svc:
         pending = svc.submit(request)   # may raise AdmissionRejected
 """
 

@@ -76,8 +76,8 @@ class Pricer:
         the price is served from (and stored into) the LRU, so a fleet of
         batch-compatible requests is priced exactly once. ``executor``
         selects the phase model: ``cpu-blocked`` requests are priced with
-        the barrier/dataflow blocked scan (whose ramp-phase idle the hetero
-        scan cannot see); everything else uses the heterogeneous scan. The
+        the barrier blocked scan (whose ramp-phase idle the hetero scan
+        cannot see); everything else uses the heterogeneous scan. The
         batch key already includes the executor, so the LRU never mixes the
         two models.
 

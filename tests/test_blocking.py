@@ -3,11 +3,23 @@
 import numpy as np
 import pytest
 
-from repro import ContributingSet, Framework, hetero_high
-from repro.core.blocking import BlockGrid
+from repro import ContributingSet, ExecOptions, Framework, hetero_high
+from repro.core.blocking import (
+    BlockGrid,
+    blocking_cache_info,
+    clear_blocking_cache,
+    grid_for,
+)
 from repro.errors import ExecutionError, ScheduleError
 from repro.exec.blocked import BlockedCPUExecutor
-from repro.problems import make_dithering, make_lcs, make_levenshtein, make_synthetic
+from repro.exec.fast_estimate import fast_blocked_makespan, fast_hetero_makespan
+from repro.problems import (
+    make_dithering,
+    make_fig8_problem,
+    make_lcs,
+    make_levenshtein,
+    make_synthetic,
+)
 from repro.types import Pattern
 
 NE_FREE_MASKS = [2, 4, 6, 8, 10, 12, 14]
@@ -167,6 +179,54 @@ class TestBlockedExecutorCorrectness:
             BlockedCPUExecutor(hetero_high(), block_size=0)
 
 
+    @pytest.mark.parametrize("shape", [(1, 23), (23, 1), (1, 1), (2, 37)])
+    def test_degenerate_shapes(self, fw, shape):
+        for mask in (4, 7, 9, 15):
+            p = make_synthetic(ContributingSet.from_mask(mask), *shape)
+            ref = fw.solve(p, executor="sequential").table
+            res = fw.solve(
+                p, executor="cpu-blocked", options=ExecOptions(block_size=4),
+            )
+            assert np.array_equal(ref, res.table)
+
+    @pytest.mark.parametrize("n,block", [(16, 8), (33, 5), (40, 8)])
+    def test_native_inverted_l_barrier_order(self, fw, n, block):
+        # Regression: the Γ-wave block schedule carries *intra*-wave tile
+        # dependencies once block > 1 fans {NW} into W/N/NW neighbours, and
+        # its canonical enumeration walks the column arm bottom-up — the
+        # barrier sweep must re-sort row-major or tiles read unwritten
+        # neighbours.
+        p = make_fig8_problem(n)
+        opts = ExecOptions(inverted_l_as_horizontal=False, block_size=block)
+        ref = fw.solve(p, executor="sequential", options=opts)
+        assert ref.pattern is Pattern.INVERTED_L
+        barrier = fw.solve(p, executor="cpu-blocked", options=opts)
+        assert np.array_equal(ref.table, barrier.table)
+
+
+class TestCaches:
+    def test_grid_cache_hits_on_repeat_solves(self, fw, minsum_factory):
+        clear_blocking_cache()
+        p = minsum_factory(ContributingSet.of("NW", "N"))
+        opts = ExecOptions(block_size=4)
+        fw.solve(p, executor="cpu-blocked", options=opts)
+        fw.solve(p, executor="cpu-blocked", options=opts)
+        info = blocking_cache_info()
+        assert info.misses >= 1 and info.hits >= 1
+
+    def test_grid_cache_identity(self):
+        clear_blocking_cache()
+        a = grid_for(30, 20, 7, pattern=Pattern.ANTI_DIAGONAL)
+        b = grid_for(30, 20, 7, pattern=Pattern.ANTI_DIAGONAL)
+        assert a is b
+        c = grid_for(30, 20, 7, skewed=True)
+        assert c is not a and blocking_cache_info().size == 2
+
+    def test_grid_for_requires_pattern_for_square(self):
+        with pytest.raises(ScheduleError):
+            grid_for(10, 10, 2)
+
+
 class TestBlockedTiming:
     def test_blocked_beats_flat_on_antidiagonal(self):
         """Fork amortization: far fewer barriers than cell wavefronts."""
@@ -201,6 +261,59 @@ class TestBlockedTiming:
         assert res.stats["block_size"] == 16
         assert res.stats["blocks"] == 16
         assert res.executor == "cpu-blocked"
+
+    @pytest.mark.parametrize("mask,shape", [
+        (6, (48, 40)),   # NW+N horizontal
+        (15, (40, 48)),  # full set, knight-move (skewed)
+        (4, (32, 32)),   # NW inverted-L
+    ])
+    def test_fast_blocked_matches_executor_estimate(self, fw, mask, shape):
+        p = make_synthetic(ContributingSet.from_mask(mask), *shape)
+        opts = ExecOptions(block_size=8)
+        est = fw.estimate(p, executor="cpu-blocked", options=opts)
+        fast = fast_blocked_makespan(p, fw.platform, opts)
+        assert est.simulated_time == fast  # exact, not approximate
+
+    def test_fast_blocked_native_inverted_l(self, fw):
+        p = make_fig8_problem(96, materialize=False)
+        opts = ExecOptions(inverted_l_as_horizontal=False, block_size=8)
+        est = fw.estimate(p, executor="cpu-blocked", options=opts)
+        assert fast_blocked_makespan(p, fw.platform, opts) == est.simulated_time
+
+
+class TestPricing:
+    def test_pricer_routes_blocked_executor(self, fw):
+        from repro.slo.pricing import Pricer
+
+        pricer = Pricer(fw)
+        p = make_synthetic(ContributingSet.of("W", "NE"), 64, 64)
+        blocked = pricer.units(p, executor="cpu-blocked")
+        hetero = pricer.units(p, executor="hetero")
+        assert blocked == pytest.approx(
+            fast_blocked_makespan(p, fw.platform, fw.options)
+        )
+        assert hetero == pytest.approx(
+            fast_hetero_makespan(p, fw.platform, None, fw.options)
+        )
+        assert blocked != hetero
+
+    def test_service_prices_blocked_requests_via_blocked_model(self, fw):
+        from repro.serve import ServiceConfig, SolveRequest, SolveService
+        from repro.slo import SLOPolicy
+
+        p = make_synthetic(ContributingSet.of("NW", "N"), 32, 32)
+        config = ServiceConfig(
+            workers=1, slo=SLOPolicy(admission=True, max_workers=1)
+        )
+        service = SolveService(fw.platform, config=config)
+        try:
+            pending = service.submit(SolveRequest(
+                problem=p, executor="cpu-blocked", timeout=30.0,
+            ))
+            res = pending.result(timeout=30.0)
+            assert res.executor == "cpu-blocked"
+        finally:
+            service.close()
 
 
 class TestBlockedTimeModel:

@@ -43,6 +43,7 @@ from repro.scan import (
     scan_applicable,
     scan_makespan,
     scan_solve,
+    scan_timeline,
     verify_spec,
 )
 from repro.serve import ServiceConfig, SolveRequest, SolveService
@@ -244,6 +245,16 @@ class TestPricing:
         scan = scan_makespan(p, high)
         wavefront = fast_hetero_makespan(p, high)
         assert 0.0 < scan < wavefront
+
+    @pytest.mark.parametrize("make", [
+        lambda: make_diffusion(17),
+        lambda: make_linear(64),
+        lambda: make_prefix_sum(256),
+    ], ids=["diffusion-17", "linear-64", "prefix-sum-256"])
+    def test_price_equals_timeline(self, make):
+        p = make()
+        platform = hetero_high()
+        assert scan_makespan(p, platform) == scan_timeline(p, platform).makespan
 
     def test_pricer_routes_scan_requests_through_scan_model(self, fw):
         from repro.slo.pricing import Pricer

@@ -57,43 +57,14 @@ class TestServiceConfig:
         assert isinstance(desc["options"], str)
 
 
-class TestDeprecationShim:
-    def test_legacy_kwargs_warn_and_map_one_to_one(self):
-        with pytest.warns(DeprecationWarning, match="keyword configuration"):
-            cfg = ServiceConfig.from_kwargs(workers=3, cache_size=7)
-        assert (cfg.workers, cfg.cache_size) == (3, 7)
-
-    def test_warning_names_the_offending_kwargs(self):
-        with pytest.warns(DeprecationWarning, match="cache_size.*workers"):
-            ServiceConfig.from_kwargs(workers=3, cache_size=7)
-
-    def test_no_kwargs_no_warning(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            cfg = ServiceConfig.from_kwargs()
-        assert cfg == ServiceConfig()
-
-    def test_unknown_kwarg_raises_type_error(self):
-        with pytest.raises(TypeError, match="unexpected SolveService keyword"):
-            ServiceConfig.from_kwargs(workrs=3)
-
-    def test_legacy_service_construction_warns_but_works(self):
-        with pytest.warns(DeprecationWarning, match="migration table"):
-            svc = SolveService(hetero_high(), workers=1)
-        try:
-            assert svc.config.workers == 1
-        finally:
-            svc.close()
-
-    def test_config_and_legacy_kwargs_are_mutually_exclusive(self):
-        with pytest.raises(TypeError, match="not both"):
-            SolveService(hetero_high(), config=ServiceConfig(), workers=2)
-
+class TestConfigArgument:
     def test_config_must_be_a_service_config(self):
         with pytest.raises(TypeError, match="ServiceConfig"):
             SolveService(hetero_high(), config={"workers": 2})
+
+    def test_keyword_configuration_is_rejected(self):
+        with pytest.raises(TypeError):
+            SolveService(hetero_high(), workers=1)
 
 
 class TestConfigEcho:
