@@ -32,7 +32,8 @@ executors agree bit-for-bit.
 
 ``batch.execute`` is a fault-injection site (see :mod:`repro.faults`): an
 injected failure — or any group-level setup failure — degrades the group to
-per-instance ``Framework`` runs (``batch.degraded``), never to a crash.
+per-instance ``Framework`` runs (``batch.degraded``, and a ``batch`` entry in
+each result's ``stats["route"]``), never to a crash.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import numpy as np
 from ..core.framework import Framework
 from ..errors import ServiceTimeout, SolveCancelled
 from ..exec.base import SolveResult
-from ..faults import check_fault
+from ..faults import PASSTHROUGH, check_fault, degrade, record
 from ..kernels import generic_span, plan_for
 from ..obs import get_metrics, get_tracer
 from ..patterns.registry import strategy_for
@@ -85,12 +86,17 @@ def execute_group(
     try:
         check_fault("batch.execute")
         return _execute_stack(group, framework)
-    except Exception:
+    except Exception as exc:
         # The batch layer is an optimization, never a requirement: any
         # group-level failure (injected fault, estimate error, allocation)
         # degrades to per-instance runs with full Framework semantics.
-        metrics.counter("batch.degraded").inc()
-        return [_solo_outcome(item, framework) for item in items]
+        reason = degrade("batch", exc, counters=("batch.degraded",),
+                         problem=items[0].problem.name)
+    outcomes = [_solo_outcome(item, framework) for item in items]
+    for outcome in outcomes:
+        if isinstance(outcome, SolveResult):
+            record(outcome.stats, "batch", "per-instance", reason)
+    return outcomes
 
 
 def _solo_outcome(item: BatchItem, framework: Framework):
@@ -216,9 +222,6 @@ def _execute_stack(
                 try:
                     _run_span(plan, item.problem, schedule, stack[k],
                               auxes[k], t, width, orow, ocol)
-                except (ServiceTimeout, SolveCancelled) as exc:
-                    outcomes[k] = exc
-                    active.remove(k)
                 except Exception as exc:  # noqa: BLE001 - per-item outcome
                     outcomes[k] = exc
                     active.remove(k)
@@ -241,7 +244,7 @@ def _run_span(plan, problem, schedule, table, aux, t, width, orow, ocol):
     if plan is not None:
         try:
             done, fast = plan.execute(problem, table, aux, t, 0, width)
-        except (ServiceTimeout, SolveCancelled):
+        except PASSTHROUGH:
             raise
         except Exception:
             get_metrics().counter("kernels.plan.degraded").inc()

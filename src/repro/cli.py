@@ -170,13 +170,13 @@ def _cmd_solve(args) -> int:
     print(f"executor  : {res.executor}")
     print(f"simulated : {res.simulated_ms:.3f} ms")
     for key in ("t_switch", "t_share", "cpu_utilization", "gpu_utilization",
-                "solver",
-                "scan_path", "degraded", "degraded_reason",
-                "scan_degraded_reason", "delta_seeds", "delta_cone_cells",
-                "delta_cone_fraction", "delta_degraded_reason"):
+                "solver", "scan_path", "degraded", "delta_seeds",
+                "delta_cone_cells", "delta_cone_fraction"):
         if key in res.stats:
             val = res.stats[key]
             print(f"{key:10s}: {val:.3f}" if isinstance(val, float) else f"{key:10s}: {val}")
+    for step in res.stats.get("route", ()):
+        print(f"route     : {step['tier']} → {step['fallback']}: {step['reason']}")
     if res.table is not None:
         print(f"table     : shape={res.table.shape} dtype={res.table.dtype} "
               f"corner={res.table[-1, -1]}")

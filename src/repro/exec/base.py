@@ -11,12 +11,12 @@ import numpy as np
 from ..cancel import CancelToken, raise_if_cancelled
 from ..core.problem import LDDPProblem
 from ..core.schedule import WavefrontSchedule
-from ..errors import ExecutionError, ServiceTimeout, SolveCancelled
-from ..faults import check_fault
+from ..errors import ExecutionError, InjectedFault, PlatformError
+from ..faults import PASSTHROUGH, check_fault, degrade, record
 from ..kernels import generic_span, plan_for
 from ..machine.platform import Platform
 from ..memory.buffers import TransferLedger
-from ..obs import get_metrics, get_tracer
+from ..obs import get_metrics
 from ..sim.timeline import Timeline
 from ..types import Pattern
 
@@ -83,12 +83,6 @@ class ExecOptions:
         patching near-full tables costs more than resolving them). A
         tuning knob, excluded from the cache-key ``repr`` like
         ``deadline``.
-    degrade_to_cpu:
-        When the GPU machine model fails mid-run (a
-        :class:`~repro.errors.PlatformError` or injected fault), the
-        hetero/multi executors re-run the problem CPU-only instead of
-        raising (``serve.degraded`` metric, ``degraded`` stats entry). Off:
-        the failure surfaces.
     deadline:
         Absolute ``time.monotonic()`` deadline. Every executor checks it at
         wavefront boundaries and aborts with
@@ -111,7 +105,6 @@ class ExecOptions:
     scan: bool = True
     delta: bool = False
     delta_max_cone: float = field(default=0.5, repr=False, compare=False)
-    degrade_to_cpu: bool = True
     deadline: float | None = field(default=None, repr=False, compare=False)
     cancel_token: CancelToken | None = field(
         default=None, repr=False, compare=False
@@ -287,7 +280,7 @@ def evaluate_span(
         if plan is not None:
             try:
                 done, fast = plan.execute(problem, table, aux, t, lo, hi)
-            except (ServiceTimeout, SolveCancelled):
+            except PASSTHROUGH:
                 raise
             except Exception:
                 # A *failing* plan (injected fault, guard bug) must not take
@@ -401,9 +394,8 @@ class Executor(ABC):
         Declared-linear problems (``LDDPProblem.linear``) are offered to the
         scan tier first (:mod:`repro.scan`) unless ``options.scan`` is off;
         a scan failure degrades to this executor's wavefront path —
-        bit-identical tables — with the reason recorded in
-        ``stats["scan_degraded_reason"]``. Deadline/cancel aborts surface
-        either way.
+        bit-identical tables — recorded as a ``scan`` entry in
+        ``stats["route"]``. Deadline/cancel aborts surface either way.
         """
         problem.require_solvable()
         from ..scan.route import try_scan_solve  # local: repro.scan imports us
@@ -413,8 +405,7 @@ class Executor(ABC):
             return result
         result = self._run(problem, functional=True, **kwargs)
         if scan_reason is not None:
-            result.stats.setdefault("degraded", "wavefront")
-            result.stats["scan_degraded_reason"] = scan_reason
+            record(result.stats, "scan", "wavefront", scan_reason)
         return result
 
     def estimate(self, problem: LDDPProblem, **kwargs) -> SolveResult:
@@ -439,32 +430,27 @@ class Executor(ABC):
         if self.options.validate_timeline:
             timeline.validate()
 
-    def _degrade_to_cpu(
-        self, problem: LDDPProblem, functional: bool, exc: BaseException
-    ) -> SolveResult:
-        """Re-run ``problem`` CPU-only after a device/transfer failure.
+    def _run_or_cpu(self, run, problem: LDDPProblem, functional: bool,
+                    params) -> SolveResult:
+        """``run(problem, functional, params)``, CPU-only on a device failure.
 
-        The CPU executor shares :func:`evaluate_span`, so a degraded run's
-        table is bit-identical to the heterogeneous one — only the timing
-        model changes. Counted as ``serve.degraded`` (plus a per-executor
-        ``exec.<name>.degraded``) and annotated with a ``<name>.degraded``
-        span; the result keeps the original executor name with
-        ``stats["degraded"] = "cpu-only"`` recording the fallback.
+        A :class:`~repro.errors.PlatformError` or injected fault re-runs
+        ``problem`` on the CPU executor (which touches only
+        ``platform.cpu``): same table, CPU-only timing, this executor's
+        name, and a ``device`` entry in ``stats["route"]``.
         """
-        from .cpu_exec import CPUExecutor  # local: avoid a module cycle
+        try:
+            return run(problem, functional, params)
+        except (PlatformError, InjectedFault) as exc:
+            from .cpu_exec import CPUExecutor  # local: avoid a module cycle
 
-        reason = f"{type(exc).__name__}: {exc}"
-        metrics = get_metrics()
-        metrics.counter("serve.degraded").inc()
-        metrics.counter(f"exec.{self.name}.degraded").inc()
-        with get_tracer().span(
-            f"{self.name}.degraded", cat="degrade",
-            problem=problem.name, reason=reason,
-        ):
+            reason = degrade(
+                "device", exc, counters=("serve.degraded",),
+                executor=self.name, problem=problem.name,
+            )
             result = CPUExecutor(self.platform, self.options)._run(
                 problem, functional
             )
-        result.executor = self.name
-        result.stats["degraded"] = "cpu-only"
-        result.stats["degraded_reason"] = reason
-        return result
+            result.executor = self.name
+            record(result.stats, "device", "cpu-only", reason)
+            return result

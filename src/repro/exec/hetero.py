@@ -29,10 +29,8 @@ Observability: the run is wrapped in a ``hetero.solve`` span with one
 iteration, and ``kernel`` / ``transfer`` spans per submission — see
 ``docs/observability.md``.
 
-Resilience: when the GPU or transfer model fails mid-run (a
-:class:`~repro.errors.PlatformError` or an injected fault) and
-``options.degrade_to_cpu`` is set, the run restarts CPU-only via
-:meth:`~repro.exec.base.Executor._degrade_to_cpu` — same table, CPU-only
+Resilience: a GPU or transfer model failure restarts the run CPU-only via
+:meth:`~repro.exec.base.Executor._run_or_cpu` — same table, CPU-only
 timing. Deadline/cancel control is checked once per assignment.
 """
 
@@ -40,7 +38,7 @@ from __future__ import annotations
 
 from ..core.partition import HeteroParams, PhasePlan
 from ..core.problem import LDDPProblem
-from ..errors import ExecutionError, InjectedFault, PlatformError
+from ..errors import ExecutionError
 from ..memory.buffers import TransferLedger
 from ..obs import get_metrics, get_tracer
 from ..patterns.base import PatternStrategy
@@ -72,18 +70,8 @@ _HALO_DEPTH: dict[Pattern, int] = {
 class HeteroExecutor(Executor):
     name = "hetero"
 
-    def _run(
-        self,
-        problem: LDDPProblem,
-        functional: bool,
-        params: HeteroParams | None = None,
-    ) -> SolveResult:
-        try:
-            return self._run_hetero(problem, functional, params)
-        except (PlatformError, InjectedFault) as exc:
-            if not self.options.degrade_to_cpu:
-                raise
-            return self._degrade_to_cpu(problem, functional, exc)
+    def _run(self, problem, functional, params=None) -> SolveResult:
+        return self._run_or_cpu(self._run_hetero, problem, functional, params)
 
     def _run_hetero(
         self,

@@ -46,6 +46,10 @@ Usage::
 
 or from the CLI: ``repro-lddp serve --inject-fault "machine.gpu:rate=0.5"``.
 See ``docs/resilience.md`` for the degradation matrix.
+
+The request-level fallbacks (scan, delta, device, batch) share one policy
+from here: :data:`PASSTHROUGH` aborts surface, :func:`degrade` counts and
+traces a failed tier, :func:`record` notes it in ``stats["route"]``.
 """
 
 from __future__ import annotations
@@ -57,8 +61,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .errors import InjectedFault
-from .obs import get_metrics
+from .errors import InjectedFault, ServiceTimeout, SolveCancelled
+from .obs import get_metrics, get_tracer
 
 __all__ = [
     "FaultRule",
@@ -68,6 +72,9 @@ __all__ = [
     "clear_faults",
     "active_faults",
     "inject_faults",
+    "PASSTHROUGH",
+    "degrade",
+    "record",
 ]
 
 
@@ -263,3 +270,39 @@ def inject_faults(*specs: str | FaultRule | FaultPlan, seed: int = 0) -> Iterato
         yield plan
     finally:
         install_faults(previous)
+
+
+# -- the degradation policy ----------------------------------------------------
+
+#: Control-plane aborts: never degraded, they surface from every tier.
+PASSTHROUGH = (ServiceTimeout, SolveCancelled)
+
+
+def degrade(tier: str, exc: BaseException, *, counters: Iterable[str],
+            executor: str | None = None, problem: str | None = None) -> str:
+    """Count and trace a failed ``tier``; returns the reason to record.
+
+    Bumps ``counters`` (and ``exec.<executor>.degraded`` when ``executor``
+    is given) and emits one ``<tier>.degraded`` span carrying the problem,
+    executor and reason.
+    """
+    reason = f"{type(exc).__name__}: {exc}"
+    metrics = get_metrics()
+    if executor is not None:
+        counters = (*counters, f"exec.{executor}.degraded")
+    for name in counters:
+        metrics.counter(name).inc()
+    get_tracer().span(f"{tier}.degraded", cat="degrade", problem=problem,
+                      executor=executor, reason=reason).end()
+    return reason
+
+
+def record(stats: dict, tier: str, fallback: str, reason: str) -> None:
+    """Prepend ``tier`` → ``fallback`` to ``stats["route"]`` (a new list).
+
+    Called once the fallback has run, so the route reads outermost tier
+    first and ``stats["degraded"]`` keeps the path that finally served.
+    """
+    entry = {"tier": tier, "fallback": fallback, "reason": reason}
+    stats["route"] = [entry, *stats.get("route", ())]
+    stats.setdefault("degraded", fallback)

@@ -11,15 +11,14 @@ each cut between adjacent non-empty segments:
   (both links, host blocked).
 
 Resilience mirrors the two-device executor: an accelerator or link model
-failure (:class:`~repro.errors.PlatformError` or injected fault) degrades
-the run to CPU-only when ``options.degrade_to_cpu`` is set, and deadline /
-cancel control is checked once per assignment.
+failure degrades the run to CPU-only, and deadline / cancel control is
+checked once per assignment.
 """
 
 from __future__ import annotations
 
 from ..core.problem import LDDPProblem
-from ..errors import ExecutionError, InjectedFault, PlatformError
+from ..errors import ExecutionError
 from ..exec.base import (
     Executor,
     SolveResult,
@@ -73,19 +72,8 @@ class MultiHeteroExecutor(Executor):
         self.platform = platform
         self.options = options or ExecOptions()
 
-    def _run(
-        self,
-        problem: LDDPProblem,
-        functional: bool,
-        params: MultiParams | None = None,
-    ) -> SolveResult:
-        try:
-            return self._run_multi(problem, functional, params)
-        except (PlatformError, InjectedFault) as exc:
-            if not self.options.degrade_to_cpu:
-                raise
-            # MultiPlatform exposes .cpu, which is all CPUExecutor touches.
-            return self._degrade_to_cpu(problem, functional, exc)
+    def _run(self, problem, functional, params=None) -> SolveResult:
+        return self._run_or_cpu(self._run_multi, problem, functional, params)
 
     def _run_multi(
         self,

@@ -11,18 +11,17 @@ level up. The contract:
   stays the independent oracle the scan is checked against.
 * **Degradation** — any scan failure (injected ``scan.solve`` fault,
   verification mismatch, solver bug) falls back to the wavefront path,
-  whose table is bit-identical by construction; the result carries
-  ``stats["scan_degraded_reason"]`` and ``scan.degraded`` counts it.
-  Deadline/cancel aborts (:class:`~repro.errors.ServiceTimeout`,
-  :class:`~repro.errors.SolveCancelled`) are *never* degraded — they
-  surface, exactly as on the wavefront path.
+  whose table is bit-identical by construction; the result carries a
+  ``scan`` entry in ``stats["route"]`` and ``scan.degraded`` counts it
+  (:func:`repro.faults.degrade`). Deadline/cancel aborts
+  (:data:`repro.faults.PASSTHROUGH`) are *never* degraded — they surface,
+  exactly as on the wavefront path.
 """
 
 from __future__ import annotations
 
 from ..core.problem import LDDPProblem
-from ..errors import ServiceTimeout, SolveCancelled
-from ..faults import check_fault
+from ..faults import PASSTHROUGH, check_fault, degrade
 from ..obs import get_metrics, get_tracer
 from ..patterns.registry import strategy_for
 from .solver import scan_solve
@@ -72,25 +71,18 @@ def try_scan_solve(executor, problem: LDDPProblem):
         metrics.counter("scan.declined").inc()
         return None, None
     check_control(options, f"solve of {problem.name!r}")
-    tracer = get_tracer()
     try:
         check_fault("scan.solve")
-        with tracer.span(
+        with get_tracer().span(
             "scan.solve", cat="executor", problem=problem.name,
             executor=executor.name,
         ):
             table, stats = scan_solve(problem)
-    except (ServiceTimeout, SolveCancelled):
+    except PASSTHROUGH:
         raise
     except Exception as exc:
-        reason = f"{type(exc).__name__}: {exc}"
-        metrics.counter("scan.degraded").inc()
-        metrics.counter(f"exec.{executor.name}.degraded").inc()
-        with tracer.span(
-            "scan.degraded", cat="degrade", problem=problem.name, reason=reason,
-        ):
-            pass
-        return None, reason
+        return None, degrade("scan", exc, counters=("scan.degraded",),
+                             executor=executor.name, problem=problem.name)
     metrics.counter("scan.solved").inc()
     strategy = strategy_for(
         problem,

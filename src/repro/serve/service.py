@@ -72,7 +72,7 @@ from ..errors import (
 )
 from ..delta import delta_applicable, delta_key, delta_patch
 from ..exec.base import ExecOptions, SolveResult
-from ..faults import check_fault
+from ..faults import PASSTHROUGH, check_fault, degrade, record
 from ..machine.platform import Platform
 from ..obs import get_metrics, get_tracer
 from ..slo import AdmissionController, Autoscaler, Pricer, QuotaManager
@@ -916,7 +916,6 @@ class SolveService:
         if base is None:
             return None
         base_payload, base_result = base
-        metrics = get_metrics()
         try:
             result = delta_patch(
                 request.problem,
@@ -926,13 +925,14 @@ class SolveService:
                 options=self._control_options(request, pending),
                 executor=pending.effective_executor,
             )
-        except (ServiceTimeout, SolveCancelled) as exc:
+        except PASSTHROUGH as exc:
             return exc
         except Exception as exc:  # noqa: BLE001 - degrade, never fail
-            pending._delta_reason = f"{type(exc).__name__}: {exc}"
-            metrics.counter("serve.cache.delta_degraded").inc()
+            pending._delta_reason = degrade(
+                "delta", exc, counters=("serve.cache.delta_degraded",),
+                problem=request.problem.name)
             return None
-        metrics.counter("serve.cache.delta_hit").inc()
+        get_metrics().counter("serve.cache.delta_hit").inc()
         self.cache.note_delta_hit()
         pending._delta_base = base_payload
         return result
@@ -960,10 +960,8 @@ class SolveService:
         """Cache, count and resolve one successfully executed request."""
         metrics = get_metrics()
         if pending._delta_reason is not None:
-            # A delta patch was attempted and degraded to this full solve;
-            # surface the reason like the scan tier does.
-            result.stats.setdefault("degraded", "full-solve")
-            result.stats["delta_degraded_reason"] = pending._delta_reason
+            # A delta patch was attempted and degraded to this full solve.
+            record(result.stats, "delta", "full-solve", pending._delta_reason)
         if pending._delta_base is not None:
             span.set(delta=True)
         if key is not None:

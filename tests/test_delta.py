@@ -470,8 +470,10 @@ class TestReplay:
             with inject_faults("exec.span:nth=3"):
                 degraded = svc.submit(SolveRequest(edited)).result()
         assert degraded.stats.get("degraded") == "full-solve"
-        assert "InjectedFault" in degraded.stats["delta_degraded_reason"]
-        assert "exec.span" in degraded.stats["delta_degraded_reason"]
+        [step] = degraded.stats["route"]
+        assert step["tier"] == "delta"
+        assert "InjectedFault" in step["reason"]
+        assert "exec.span" in step["reason"]
         assert np.array_equal(degraded.table, _oracle(edited))
 
 
@@ -632,7 +634,9 @@ class TestFaultSite:
                 svc.submit(SolveRequest(base)).result()
                 degraded = svc.submit(SolveRequest(edited)).result()
         assert degraded.stats.get("degraded") == "full-solve"
-        assert "InjectedFault" in degraded.stats["delta_degraded_reason"]
+        [step] = degraded.stats["route"]
+        assert step["tier"] == "delta"
+        assert "InjectedFault" in step["reason"]
         assert np.array_equal(degraded.table, fresh)
 
 
@@ -864,7 +868,9 @@ class TestCoalescedDelta:
         assert degraded_count == 1
         degraded = [r for r in results if r.stats.get("solver") != "delta"]
         assert len(degraded) == 1
-        assert "InjectedFault" in degraded[0].stats["delta_degraded_reason"]
+        [step] = degraded[0].stats["route"]
+        assert step["tier"] == "delta"
+        assert "InjectedFault" in step["reason"]
         for result, edit in zip(results, edits):
             assert np.array_equal(result.table, _oracle(edit))
 
@@ -875,7 +881,9 @@ class TestCoalescedDelta:
         assert degraded_count == 2
         for result, edit in zip(results, edits):
             assert result.stats["degraded"] == "full-solve"
-            assert "InjectedFault" in result.stats["delta_degraded_reason"]
+            [step] = result.stats["route"]
+            assert step["tier"] == "delta"
+            assert "InjectedFault" in step["reason"]
             assert np.array_equal(result.table, _oracle(edit))
 
 

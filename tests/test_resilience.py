@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,8 +40,14 @@ from repro.exec.streaming import StreamingSolver
 from repro.faults import check_fault
 from repro.machine.platform import hetero_high
 from repro.multi import MultiHeteroExecutor, hetero_tri
-from repro.obs import MetricsRegistry, get_metrics, set_metrics
-from repro.problems import make_levenshtein
+from repro.obs import (
+    MetricsRegistry,
+    Tracer,
+    get_metrics,
+    set_metrics,
+    use_tracer,
+)
+from repro.problems import make_levenshtein, make_prefix_sum
 from repro.serve import ServiceConfig, SolveRequest, SolveService
 
 
@@ -450,7 +457,9 @@ class TestGpuDegradation:
             result = Framework(hetero_high()).solve(problem, executor="hetero")
         assert result.executor == "hetero"
         assert result.stats["degraded"] == "cpu-only"
-        assert "InjectedFault" in result.stats["degraded_reason"]
+        [step] = result.stats["route"]
+        assert step["tier"] == "device" and step["fallback"] == "cpu-only"
+        assert "InjectedFault" in step["reason"]
         assert np.array_equal(oracle.table, result.table)
         metrics = get_metrics()
         assert metrics.counter("serve.degraded").value == 1
@@ -465,14 +474,6 @@ class TestGpuDegradation:
         assert np.array_equal(oracle.table, result.table)
         assert get_metrics().counter("serve.degraded").value == 1
 
-    def test_degradation_can_be_disabled(self):
-        opts = ExecOptions(degrade_to_cpu=False)
-        with inject_faults("machine.gpu:rate=1.0"):
-            with pytest.raises(InjectedFault):
-                Framework(hetero_high(), opts).solve(
-                    make_levenshtein(32), executor="hetero"
-                )
-
     def test_gpu_executor_does_not_degrade(self):
         """Only hetero/multi degrade; a pure-GPU run surfaces the fault."""
         with inject_faults("machine.gpu:rate=1.0"):
@@ -486,6 +487,61 @@ class TestGpuDegradation:
                 make_levenshtein(32), executor="hetero", timeout=0.0
             )
         assert get_metrics().counter("serve.degraded").value == 0
+
+
+class TestRoute:
+    """``stats["route"]`` lists every fallback, outermost tier first."""
+
+    def test_scan_then_device_fallback(self):
+        problem = make_prefix_sum(64)
+        oracle = Framework(hetero_high()).solve(problem, executor="sequential")
+        tracer = Tracer()
+        with inject_faults("scan.solve:rate=1.0", "machine.gpu:rate=1.0"), \
+                use_tracer(tracer):
+            result = Framework(hetero_high()).solve(problem, executor="hetero")
+        route = result.stats["route"]
+        assert [step["tier"] for step in route] == ["scan", "device"]
+        assert result.stats["degraded"] == "cpu-only" == route[-1]["fallback"]
+        assert "scan.solve" in route[0]["reason"]
+        assert "machine.gpu" in route[1]["reason"]
+        assert np.array_equal(oracle.table, result.table)
+        spans = [s for s in tracer.finished_spans() if s.cat == "degrade"]
+        assert [s.name for s in spans] == ["scan.degraded", "device.degraded"]
+        assert all(s.attrs["executor"] == "hetero" for s in spans)
+
+    def test_delta_then_device_fallback(self, fresh_metrics):
+        base = make_levenshtein(48)
+        payload = dict(base.payload)
+        payload["a"] = payload["a"].copy()
+        payload["a"][-1] += 1
+        edited = replace(base, payload=payload)
+        oracle = Framework(hetero_high()).solve(edited, executor="sequential")
+        cfg = ServiceConfig(workers=1, options=ExecOptions(delta=True))
+        with SolveService(hetero_high(), config=cfg) as svc:
+            svc.submit(SolveRequest(base)).result()
+            with inject_faults("delta.patch:nth=1", "machine.gpu:rate=1.0"):
+                result = svc.submit(SolveRequest(edited)).result()
+        route = result.stats["route"]
+        assert [step["tier"] for step in route] == ["delta", "device"]
+        assert route[0]["fallback"] == "full-solve"
+        assert "delta.patch" in route[0]["reason"]
+        assert result.stats["degraded"] == "cpu-only"
+        assert np.array_equal(oracle.table, result.table)
+        assert fresh_metrics.counter("serve.cache.delta_degraded").value == 1
+
+    def test_batch_fallback_is_recorded_per_instance(self, fresh_metrics):
+        fw = Framework(hetero_high())
+        problems = [make_levenshtein(20, seed=s) for s in range(3)]
+        with inject_faults("batch.execute:nth=1"):
+            results = fw.solve_many(problems, executor="cpu")
+        assert fresh_metrics.counter("batch.degraded").value == 1
+        for problem, result in zip(problems, results):
+            [step] = result.stats["route"]
+            assert (step["tier"], step["fallback"]) == ("batch", "per-instance")
+            assert "batch.execute" in step["reason"]
+            assert result.stats["degraded"] == "per-instance"
+            oracle = fw.solve(problem, executor="sequential")
+            assert np.array_equal(oracle.table, result.table)
 
 
 # -- service: deadlines, cancellation, worker reuse ---------------------------

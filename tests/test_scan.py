@@ -7,7 +7,7 @@ The load-bearing guarantees:
   ``ExecOptions(scan=False)`` / CLI ``--no-scan`` as the opt-out;
 * any scan failure (injected ``scan.solve`` fault, wrong declaration)
   degrades to the wavefront path *bit-identically*, with the reason in
-  ``stats`` and ``scan.degraded`` counting it — while deadline aborts
+  ``stats["route"]`` and ``scan.degraded`` counting it — while deadline aborts
   surface instead of degrading;
 * estimate-only problems (``materialize=False``) fail a functional solve
   with a clear :class:`CellFunctionError` at submission, locally and at the
@@ -151,7 +151,9 @@ class TestDegradation:
         with inject_faults("scan.solve:nth=1"):
             res = fw.solve(p, executor="cpu")
         assert res.stats["degraded"] == "wavefront"
-        assert "InjectedFault" in res.stats["scan_degraded_reason"]
+        [step] = res.stats["route"]
+        assert step["tier"] == "scan"
+        assert "InjectedFault" in step["reason"]
         assert "solver" not in res.stats
         assert get_metrics().counter("scan.degraded").value \
             == degraded_before + 1
@@ -173,7 +175,9 @@ class TestDegradation:
         )
         res = fw.solve(lying, executor="cpu")
         assert res.stats["degraded"] == "wavefront"
-        assert "ScanMismatch" in res.stats["scan_degraded_reason"]
+        [step] = res.stats["route"]
+        assert step["tier"] == "scan"
+        assert "ScanMismatch" in step["reason"]
         ref = fw.solve(base, executor="sequential").table
         assert np.array_equal(res.table, ref)
 

@@ -66,7 +66,9 @@ class TestScanProperties:
         with inject_faults("scan.solve:nth=1"):
             degraded = FW.solve(p, executor="cpu")
         assert degraded.stats["degraded"] == "wavefront"
-        assert "InjectedFault" in degraded.stats["scan_degraded_reason"]
+        [step] = degraded.stats["route"]
+        assert step["tier"] == "scan"
+        assert "InjectedFault" in step["reason"]
         scanned = FW.solve(p, executor="cpu")
         assert scanned.stats["solver"] == "scan"
         assert np.array_equal(degraded.table, scanned.table)
