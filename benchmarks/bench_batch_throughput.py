@@ -130,14 +130,23 @@ def _write(r: dict, text: str) -> None:
     (REPO_ROOT / "BENCH_batch.json").write_text(json.dumps(r, indent=2) + "\n")
 
 
+def _gate(r: dict) -> str | None:
+    """First failed acceptance condition, or ``None`` when all hold."""
+    if not r["bit_identical"]:
+        return "batched tables must match per-instance solves"
+    if r["ratio"] < TARGET_RATIO:
+        return (
+            f"coalesced/per-instance throughput ratio {r['ratio']:.2f}x "
+            f"below the {TARGET_RATIO}x acceptance bar"
+        )
+    return None
+
+
 def test_batched_doubles_serving_throughput():
     r = measure(quick=os.environ.get("REPRO_BENCH_QUICK", "") == "1")
     _write(r, report(r))
-    assert r["bit_identical"], "batched tables must match per-instance solves"
-    assert r["ratio"] >= TARGET_RATIO, (
-        f"coalesced/per-instance throughput ratio {r['ratio']:.2f}x below "
-        f"the {TARGET_RATIO}x acceptance bar"
-    )
+    failure = _gate(r)
+    assert failure is None, failure
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -151,13 +160,9 @@ def main(argv: list[str] | None = None) -> int:
     text = report(r)
     print(text)
     _write(r, text)
-    if not r["bit_identical"]:
-        print("FAIL: batched tables differ from per-instance solves",
-              file=sys.stderr)
-        return 1
-    if r["ratio"] < TARGET_RATIO:
-        print(f"FAIL: ratio {r['ratio']:.2f}x < {TARGET_RATIO}x",
-              file=sys.stderr)
+    failure = _gate(r)
+    if failure is not None:
+        print(f"FAIL: {failure}", file=sys.stderr)
         return 1
     return 0
 

@@ -143,15 +143,24 @@ def _write_outputs(r: dict, text: str) -> None:
     )
 
 
+def _gate(r: dict) -> str | None:
+    """First failed acceptance condition, or ``None`` when all hold."""
+    lev = r["workloads"][0]
+    if not lev["bit_identical"]:
+        return "fast-path table differs from the oracle"
+    if lev["ratio"] < TARGET_RATIO:
+        return (
+            f"warm-plan speedup {lev['ratio']:.2f}x below the "
+            f"{TARGET_RATIO}x acceptance bar on {lev['workload']}"
+        )
+    return None
+
+
 def test_kernel_fastpath_speedup():
     r = measure(quick=os.environ.get("REPRO_BENCH_QUICK", "") == "1")
     _write_outputs(r, report(r))
-    lev = r["workloads"][0]
-    assert lev["bit_identical"], "fast-path table differs from the oracle"
-    assert lev["ratio"] >= TARGET_RATIO, (
-        f"warm-plan speedup {lev['ratio']:.2f}x below the "
-        f"{TARGET_RATIO}x acceptance bar on {lev['workload']}"
-    )
+    failure = _gate(r)
+    assert failure is None, failure
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -165,13 +174,9 @@ def main(argv: list[str] | None = None) -> int:
     text = report(r)
     print(text)
     _write_outputs(r, text)
-    lev = r["workloads"][0]
-    if not lev["bit_identical"]:
-        print("FAIL: fast-path table differs from the oracle", file=sys.stderr)
-        return 1
-    if lev["ratio"] < TARGET_RATIO:
-        print(f"FAIL: ratio {lev['ratio']:.2f}x < {TARGET_RATIO}x",
-              file=sys.stderr)
+    failure = _gate(r)
+    if failure is not None:
+        print(f"FAIL: {failure}", file=sys.stderr)
         return 1
     return 0
 

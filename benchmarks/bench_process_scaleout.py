@@ -152,17 +152,27 @@ def _write(r: dict) -> None:
     )
 
 
-def test_process_backend_scales_out():
-    r = measure(quick=os.environ.get("REPRO_BENCH_QUICK", "") == "1")
-    _write(r)
-    assert r["bit_identical"], "backend tables diverged from the oracle"
-    assert r["leaked_segments"] == 0, "shm segments survived close()"
-    assert not r["leaked_processes"], "worker processes survived close()"
-    if r["gate_active"]:
-        assert r["ratio"] >= TARGET_RATIO, (
+def _gate(r: dict) -> str | None:
+    """First failed acceptance condition, or ``None`` when all hold."""
+    if not r["bit_identical"]:
+        return "backend tables diverged from the oracle"
+    if r["leaked_segments"] != 0:
+        return "shm segments survived close()"
+    if r["leaked_processes"]:
+        return "worker processes survived close()"
+    if r["gate_active"] and r["ratio"] < TARGET_RATIO:
+        return (
             f"process/thread throughput ratio {r['ratio']:.2f}x below the "
             f"{TARGET_RATIO}x acceptance bar on {r['cores']} cores"
         )
+    return None
+
+
+def test_process_backend_scales_out():
+    r = measure(quick=os.environ.get("REPRO_BENCH_QUICK", "") == "1")
+    _write(r)
+    failure = _gate(r)
+    assert failure is None, failure
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -178,12 +188,9 @@ def main(argv: list[str] | None = None) -> int:
     text = report(r)
     print(text)
     _write(r)
-    if not r["bit_identical"] or r["leaked_segments"] or r["leaked_processes"]:
-        print("FAIL: correctness/leak invariant violated", file=sys.stderr)
-        return 1
-    if r["gate_active"] and r["ratio"] < TARGET_RATIO:
-        print(f"FAIL: ratio {r['ratio']:.2f}x < {TARGET_RATIO}x",
-              file=sys.stderr)
+    failure = _gate(r)
+    if failure is not None:
+        print(f"FAIL: {failure}", file=sys.stderr)
         return 1
     return 0
 

@@ -108,15 +108,9 @@ def _solo_outcome(item: BatchItem, framework: Framework):
 
 def _solo(item: BatchItem, framework: Framework) -> SolveResult:
     """One per-instance Framework run with the item's control threaded in."""
-    options = item.options
-    if item.deadline is not None or item.cancel_token is not None:
-        base = options or framework.options
-        options = base.replace(
-            deadline=item.deadline if item.deadline is not None
-            else base.deadline,
-            cancel_token=item.cancel_token if item.cancel_token is not None
-            else base.cancel_token,
-        )
+    options = (item.options or framework.options).with_control(
+        item.deadline, item.cancel_token
+    )
     run = framework.solve if item.functional else framework.estimate
     return run(item.problem, executor=item.executor, params=item.params,
                options=options)

@@ -142,16 +142,9 @@ class Framework:
         from ..exec.hetero import HeteroExecutor
 
         if timeout is not None or cancel_token is not None:
-            base = options or self.options
-            options = base.replace(
-                deadline=(
-                    time.monotonic() + timeout
-                    if timeout is not None else base.deadline
-                ),
-                cancel_token=(
-                    cancel_token if cancel_token is not None
-                    else base.cancel_token
-                ),
+            options = (options or self.options).with_control(
+                time.monotonic() + timeout if timeout is not None else None,
+                cancel_token,
             )
         ex = self.executor(executor, options=options)
         kwargs = {}
@@ -188,11 +181,16 @@ class Framework:
         from ..batch import BatchItem, BatchPlanner, execute_group
 
         problems = list(problems)
-        deadline = time.monotonic() + timeout if timeout is not None else None
+        # Items carry the merged control plane: the stacked sweep checks
+        # only per-item deadlines and tokens, never the options' own.
+        control = (options or self.options).with_control(
+            time.monotonic() + timeout if timeout is not None else None,
+            cancel_token,
+        )
         items = [
             BatchItem(index=k, problem=p, executor=executor, options=options,
-                      params=params, deadline=deadline,
-                      cancel_token=cancel_token)
+                      params=params, deadline=control.deadline,
+                      cancel_token=control.cancel_token)
             for k, p in enumerate(problems)
         ]
         outcomes: list[SolveResult | BaseException | None] = [None] * len(items)

@@ -122,6 +122,29 @@ class ExecOptions:
 
         return dataclasses.replace(self, **changes)
 
+    def with_control(
+        self,
+        deadline: float | None = None,
+        cancel_token: CancelToken | None = None,
+    ) -> "ExecOptions":
+        """These options with one run's control plane layered on.
+
+        The earlier of ``deadline`` and the options' own deadline wins — a
+        caller may tighten a deadline, never extend it — and a given
+        ``cancel_token`` replaces the options' one. The one merge every
+        caller (``Framework``, the serve layer, the batch and process
+        backends) uses; returns ``self`` when nothing changes.
+        """
+        if deadline is None or (
+            self.deadline is not None and self.deadline <= deadline
+        ):
+            deadline = self.deadline
+        if cancel_token is None:
+            cancel_token = self.cancel_token
+        if deadline == self.deadline and cancel_token is self.cancel_token:
+            return self
+        return self.replace(deadline=deadline, cancel_token=cancel_token)
+
 
 @dataclass
 class SolveResult:

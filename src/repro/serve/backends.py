@@ -253,18 +253,13 @@ def _worker_init(spec: _WorkerSpec) -> Framework:
     return Framework(spec.platform, spec.options)
 
 
-def _job_options(framework: Framework, options, deadline, token):
-    base = options or framework.options
-    if deadline is not None or token is not None:
-        base = base.replace(deadline=deadline, cancel_token=token)
-    return base
-
-
 def _run_solve(framework: Framework, job: dict, buf) -> SolveResult:
     token = (
         _SlabCancelToken(buf, job["slot"]) if job["slot"] is not None else None
     )
-    options = _job_options(framework, job["options"], job["deadline"], token)
+    options = (job["options"] or framework.options).with_control(
+        job["deadline"], token
+    )
     run = framework.solve if job["functional"] else framework.estimate
     return run(
         job["problem"], executor=job["executor"], params=job["params"],

@@ -85,6 +85,7 @@ from .shm import SegmentIndex
 __all__ = ["PendingSolve", "SolveService"]
 
 _BATCH_KEY_UNSET = object()  # memo sentinel for PendingSolve._batch_key
+_SETTLED = object()  # SolveService._claim: the prelude settled the request
 
 
 class PendingSolve:
@@ -111,7 +112,6 @@ class PendingSolve:
         self._future: Future = Future()
         self._batch_key = _BATCH_KEY_UNSET  # lazily memoized by the service
         self._delta_key = _BATCH_KEY_UNSET  # near-match key, memoized too
-        self._delta_probed = False  # the delta tier runs once per request
         self._delta_base = None  # payload of the base a patch started from
         self._delta_reason: str | None = None  # why a delta patch degraded
         self._units: float | None = None  # closed-form price (SLO mode)
@@ -151,23 +151,7 @@ class PendingSolve:
         :class:`concurrent.futures.TimeoutError` when the caller's
         ``timeout`` elapses first.
         """
-        budget = timeout
-        if self.deadline is not None:
-            remaining = self.deadline - time.monotonic()
-            budget = remaining if budget is None else min(budget, remaining)
-        try:
-            return self._future.exception(budget)
-        except FutureTimeoutError:
-            if (
-                self.deadline is not None
-                and time.monotonic() >= self.deadline
-                and not self._future.done()
-            ):
-                raise ServiceTimeout(
-                    f"request for {self.request.problem.name!r} exceeded its "
-                    f"{self.request.timeout!r} s timeout"
-                ) from None
-            raise
+        return self._wait(self._future.exception, timeout)
 
     def result(self, timeout: float | None = None) -> SolveResult:
         """Wait for the result.
@@ -176,12 +160,20 @@ class PendingSolve:
         passed, :class:`concurrent.futures.TimeoutError` if the caller's
         ``timeout`` elapses first, or the worker's exception on failure.
         """
+        return self._wait(self._future.result, timeout)
+
+    def _wait(self, get, timeout: float | None):
+        """``get(budget)`` for the future's ``result`` or ``exception``.
+
+        The wait is capped by the request's own deadline, whose passing
+        raises :class:`ServiceTimeout`.
+        """
         budget = timeout
         if self.deadline is not None:
             remaining = self.deadline - time.monotonic()
             budget = remaining if budget is None else min(budget, remaining)
         try:
-            return self._future.result(budget)
+            return get(budget)
         except FutureTimeoutError:
             if (
                 self.deadline is not None
@@ -653,10 +645,7 @@ class SolveService:
                 self._busy += 1
                 get_metrics().gauge("serve.queue.depth").set(len(self._queue))
             try:
-                if self.coalesce_window > 0:
-                    self._process_coalesced(pending)
-                else:
-                    self._process(pending)
+                self._process(pending)
             finally:
                 with self._lock:
                     self._busy -= 1
@@ -715,85 +704,182 @@ class SolveService:
         return delay * (0.5 + self._rng.random())
 
     def _process(self, pending: PendingSolve) -> None:
-        metrics = get_metrics()
-        tracer = get_tracer()
-        request = pending.request
-        if not pending._future.set_running_or_notify_cancel():
-            metrics.counter("serve.requests.cancelled").inc()
+        """Settle one dequeued request and any batch-compatible queue-mates.
+
+        With ``coalesce_window > 0`` and a batchable ``pending`` (the
+        leader), compatible requests are drained from the queue for up to
+        the window first; either way the set — often just ``[pending]`` —
+        goes through :meth:`_process_batch`, the one request lifecycle.
+        """
+        key = self._batch_key_of(pending) if self.coalesce_window > 0 else None
+        if key is None:
+            self._process_batch([pending])
             return
-        wait_ms = (time.monotonic() - pending.submitted_at) * 1e3
-        metrics.histogram("serve.queue_wait_ms").observe(wait_ms)
-        with tracer.span(
+        # Register the in-flight key so admission can price a compatible
+        # late arrival at its marginal (coalesced) cost, not full freight.
+        if self.slo is not None:
+            with self._lock:
+                self._active_batch_keys[key] = (
+                    self._active_batch_keys.get(key, 0) + 1
+                )
+        try:
+            self._process_batch(
+                [pending] + self._drain_compatible(pending, key)
+            )
+        finally:
+            if self.slo is not None:
+                with self._lock:
+                    count = self._active_batch_keys.get(key, 0) - 1
+                    if count > 0:
+                        self._active_batch_keys[key] = count
+                    else:
+                        self._active_batch_keys.pop(key, None)
+
+    def _process_batch(self, members: list[PendingSolve]) -> None:
+        """Resolve a set of requests: per-request prelude, then execute.
+
+        Every member first passes :meth:`_claim`, so a cancelled, expired,
+        cached or delta-patched request never pays for execution. A lone
+        survivor runs through :meth:`_attempt`; several run as one
+        :func:`repro.batch.execute_items` group with their deadlines and
+        cancel tokens live per wavefront, and a member whose batched run
+        fails retryably falls back to :meth:`_attempt`.
+        """
+        run: list[tuple[PendingSolve, object]] = []
+        for pending in members:
+            key = self._claim(pending)
+            if key is not _SETTLED:
+                run.append((pending, key))
+        if not run:
+            return
+        if len(run) == 1:
+            pending, key = run[0]
+            with self._request_span(pending) as span:
+                self._attempt(pending, span, key)
+            return
+
+        metrics = get_metrics()
+        metrics.counter("batch.coalesced").inc(len(run))
+        items = []
+        for k, (pending, _) in enumerate(run):
+            request = pending.request
+            options = self._control_options(request, pending)
+            items.append(BatchItem(
+                index=k,
+                problem=request.problem,
+                executor=pending.effective_executor,
+                options=options,
+                params=request.params,
+                functional=pending.effective_functional,
+                deadline=options.deadline,
+                cancel_token=options.cancel_token,
+                key=self._batch_key_of(pending),
+            ))
+        affinity = (
+            items[0].key if self._backend.kind == "process" else None
+        )
+        started = time.monotonic()
+        with metrics.histogram("serve.execute_ms").time():
+            outcomes = self._backend.execute_batch(items, affinity=affinity)
+        # Calibrate on the *marginal* cost: the batch amortises one sweep
+        # over len(run) members, so each member's observed wall share is the
+        # honest per-request price for future coalesced admissions.
+        member_wall = (time.monotonic() - started) / len(run)
+        for (pending, key), outcome in zip(run, outcomes):
+            with self._request_span(pending, coalesced=len(run)) as span:
+                if isinstance(outcome, SolveResult):
+                    self._observe_run(pending, member_wall)
+                if not self._resolve(pending, span, key, outcome):
+                    # Retryable failure inside the batch: this member gets
+                    # the full per-request retry path (fresh attempts — the
+                    # batched try was the free one).
+                    span.set(batch_failed=type(outcome).__name__)
+                    self._attempt(pending, span, key)
+
+    def _request_span(self, pending: PendingSolve, **attrs):
+        """Open the one ``serve.request`` span of ``pending``.
+
+        Carries the problem, the *effective* executor, the priority and,
+        for a request down-tiered at admission, ``downgraded``.
+        """
+        request = pending.request
+        if pending.downgraded is not None:
+            attrs["downgraded"] = pending.downgraded
+        return get_tracer().span(
             "serve.request",
             cat="serve",
             problem=request.problem.name,
             executor=pending.effective_executor,
             priority=request.priority,
-        ) as span:
-            if pending.downgraded is not None:
-                span.set(downgraded=pending.downgraded)
-            if (
-                pending.deadline is not None
-                and time.monotonic() >= pending.deadline
-            ):
-                metrics.counter("serve.requests.timeout").inc()
-                span.set(outcome="timeout")
-                pending._future.set_exception(
-                    ServiceTimeout(
-                        f"request for {request.problem.name!r} expired after "
-                        f"{request.timeout or self.default_timeout!r} s in "
-                        "the queue"
-                    )
-                )
-                return
+            **attrs,
+        )
 
-            key = None
-            if self.cache is not None and request.cacheable:
-                key = request_key(
-                    request,
-                    self.framework.platform,
-                    request.options or self.framework.options,
-                    executor=pending.effective_executor,
-                    functional=pending.effective_functional,
+    def _claim(self, pending: PendingSolve):
+        """The per-request prelude: the survivor's cache key, or ``_SETTLED``.
+
+        In order: claim the future (a request cancelled in the queue is
+        dropped), observe its queue wait, fail an expired deadline, serve an
+        exact cache hit, then offer the miss to the delta tier. A request
+        settled here never reaches execution.
+        """
+        metrics = get_metrics()
+        request = pending.request
+        if not pending._future.set_running_or_notify_cancel():
+            metrics.counter("serve.requests.cancelled").inc()
+            return _SETTLED
+        metrics.histogram("serve.queue_wait_ms").observe(
+            (time.monotonic() - pending.submitted_at) * 1e3
+        )
+        if (
+            pending.deadline is not None
+            and time.monotonic() >= pending.deadline
+        ):
+            with self._request_span(pending) as span:
+                self._resolve(pending, span, None, ServiceTimeout(
+                    f"request for {request.problem.name!r} expired after "
+                    f"{request.timeout or self.default_timeout!r} s in the "
+                    "queue"
+                ))
+            return _SETTLED
+        key = None
+        if self.cache is not None and request.cacheable:
+            key = request_key(
+                request,
+                self.framework.platform,
+                request.options or self.framework.options,
+                executor=pending.effective_executor,
+                functional=pending.effective_functional,
+            )
+            hit = self.cache.get(key)
+            if hit is not None:
+                pending.cache_hit = True
+                metrics.counter("serve.cache.hits").inc()
+                metrics.histogram("serve.latency_ms").observe(
+                    (time.monotonic() - pending.submitted_at) * 1e3
                 )
-                hit = self.cache.get(key)
-                if hit is not None:
-                    pending.cache_hit = True
-                    metrics.counter("serve.cache.hits").inc()
-                    metrics.histogram("serve.latency_ms").observe(
-                        (time.monotonic() - pending.submitted_at) * 1e3
-                    )
-                    metrics.counter("serve.requests.completed").inc()
-                    span.set(outcome="hit")
+                metrics.counter("serve.requests.completed").inc()
+                with self._request_span(pending, outcome="hit"):
                     pending._future.set_result(hit)
-                    return
-                metrics.counter("serve.cache.misses").inc()
-
-            pending.cache_hit = False
-            self._attempt(pending, span, key)
+                return _SETTLED
+            metrics.counter("serve.cache.misses").inc()
+        pending.cache_hit = False
+        outcome = self._try_delta(pending, key)
+        if outcome is not None:
+            with self._request_span(pending) as span:
+                self._resolve(pending, span, key, outcome)
+            return _SETTLED
+        return key
 
     def _attempt(self, pending: PendingSolve, span, key) -> None:
         """The retry loop for one claimed request: execute, back off, finish.
 
         ``span`` is the request's open ``serve.request`` span; ``key`` its
-        cache key (``None`` when uncacheable). Shared by the per-request
-        path and the coalescer's per-member fallback after a batch failure.
-
-        With ``ExecOptions.delta`` the delta tier runs first, unless the
-        request already had its one probe (the coalescer's pre-pass): an
-        exact-miss request with a cached near-match base is served by
-        patching the base's table (:mod:`repro.delta`) — bit-identical,
-        counted as ``serve.cache.delta_hit``. A failed patch falls through
-        to the full solve below, never into the retry accounting (retrying
-        a patch that just proved inapplicable is pointless). Timeouts and
-        cancellations raised inside the patch surface normally.
+        cache key (``None`` when uncacheable). Runs a lone survivor of
+        :meth:`_claim` and each member whose batched run failed retryably;
+        the request already had its one delta probe in the prelude.
         """
         metrics = get_metrics()
         request = pending.request
-        outcome = self._try_delta(pending, key)
-        if outcome is not None:
-            self._resolve(pending, span, key, outcome)
-            return
         attempts = 0
         while True:
             try:
@@ -890,7 +976,7 @@ class SolveService:
         Returns the patched result (bit-identical to a fresh solve), the
         timeout or cancellation the patch raised (for :meth:`_resolve`), or
         ``None`` — either because the request is not a delta candidate (no
-        opt-in, already probed, no base cached, structurally ineligible) or
+        opt-in, no base cached, structurally ineligible) or
         because the patch degraded, in which case ``pending._delta_reason``
         carries the reason for :meth:`_finish` to surface. The patch starts
         from the cached base nearest the request's payload, recorded in
@@ -898,15 +984,12 @@ class SolveService:
         backend's :class:`ResultCache` holds base payloads, which is why
         :class:`ServiceConfig` rejects delta on the process backend.
         """
-        if key is None or pending._delta_probed:
-            return None
-        if not isinstance(self.cache, ResultCache):
+        if key is None or not isinstance(self.cache, ResultCache):
             return None
         request = pending.request
         options = request.options or self.framework.options
         if not options.delta or not pending.effective_functional:
             return None
-        pending._delta_probed = True
         if delta_applicable(request.problem, options) is not None:
             return None
         dkey = self._delta_key_of(pending)
@@ -1011,34 +1094,6 @@ class SolveService:
             )
         return memo
 
-    def _process_coalesced(self, leader: PendingSolve) -> None:
-        """Coalescing entry point: drain compatible requests, then execute."""
-        key = self._batch_key_of(leader)
-        if key is None:
-            self._process(leader)
-            return
-        # Register the in-flight key so admission can price a compatible
-        # late arrival at its marginal (coalesced) cost, not full freight.
-        if self.slo is not None:
-            with self._lock:
-                self._active_batch_keys[key] = (
-                    self._active_batch_keys.get(key, 0) + 1
-                )
-        try:
-            members = self._drain_compatible(leader, key)
-            if not members:
-                self._process(leader)
-                return
-            self._process_batch([leader] + members)
-        finally:
-            if self.slo is not None:
-                with self._lock:
-                    count = self._active_batch_keys.get(key, 0) - 1
-                    if count > 0:
-                        self._active_batch_keys[key] = count
-                    else:
-                        self._active_batch_keys.pop(key, None)
-
     def _drain_compatible(self, leader: PendingSolve, key: str) -> list[PendingSolve]:
         """Pull batch-compatible requests off the queue for up to the window.
 
@@ -1078,154 +1133,6 @@ class SolveService:
                 self._not_empty.wait(remaining)
         return members
 
-    def _process_batch(self, members: list[PendingSolve]) -> None:
-        """Resolve a coalesced set: short-circuit, batch-execute, scatter.
-
-        Per member, in order: claim the future (drop if cancelled), fail
-        expired deadlines, serve cache hits, then offer delta-enabled
-        members to the delta tier — all *before* batch execution, so a
-        cached, patched or dead request never pays for the batch. Survivors
-        run as one :func:`repro.batch.execute_items` group with their
-        deadlines and cancel tokens live per wavefront; a member whose
-        batched run fails retryably falls back to the per-request retry
-        path (without a second delta probe).
-        """
-        metrics = get_metrics()
-        tracer = get_tracer()
-        run: list[tuple[PendingSolve, object]] = []
-        for pending in members:
-            request = pending.request
-            if not pending._future.set_running_or_notify_cancel():
-                metrics.counter("serve.requests.cancelled").inc()
-                continue
-            metrics.histogram("serve.queue_wait_ms").observe(
-                (time.monotonic() - pending.submitted_at) * 1e3
-            )
-            if (
-                pending.deadline is not None
-                and time.monotonic() >= pending.deadline
-            ):
-                metrics.counter("serve.requests.timeout").inc()
-                with tracer.span(
-                    "serve.request", cat="serve",
-                    problem=request.problem.name, executor=request.executor,
-                    priority=request.priority,
-                ) as span:
-                    span.set(outcome="timeout")
-                pending._future.set_exception(
-                    ServiceTimeout(
-                        f"request for {request.problem.name!r} expired "
-                        f"after {request.timeout or self.default_timeout!r}"
-                        " s in the queue"
-                    )
-                )
-                continue
-            key = None
-            if self.cache is not None and request.cacheable:
-                key = request_key(
-                    request,
-                    self.framework.platform,
-                    request.options or self.framework.options,
-                    executor=pending.effective_executor,
-                    functional=pending.effective_functional,
-                )
-                hit = self.cache.get(key)
-                if hit is not None:
-                    pending.cache_hit = True
-                    metrics.counter("serve.cache.hits").inc()
-                    metrics.histogram("serve.latency_ms").observe(
-                        (time.monotonic() - pending.submitted_at) * 1e3
-                    )
-                    metrics.counter("serve.requests.completed").inc()
-                    with tracer.span(
-                        "serve.request", cat="serve",
-                        problem=request.problem.name,
-                        executor=pending.effective_executor,
-                        priority=request.priority,
-                    ) as span:
-                        span.set(outcome="hit")
-                    pending._future.set_result(hit)
-                    continue
-                metrics.counter("serve.cache.misses").inc()
-            pending.cache_hit = False
-            outcome = self._try_delta(pending, key)
-            if outcome is not None:
-                with tracer.span(
-                    "serve.request", cat="serve",
-                    problem=request.problem.name,
-                    executor=pending.effective_executor,
-                    priority=request.priority,
-                ) as span:
-                    self._resolve(pending, span, key, outcome)
-                continue
-            run.append((pending, key))
-
-        if not run:
-            return
-        if len(run) == 1:
-            pending, key = run[0]
-            request = pending.request
-            with tracer.span(
-                "serve.request",
-                cat="serve",
-                problem=request.problem.name,
-                executor=request.executor,
-                priority=request.priority,
-            ) as span:
-                self._attempt(pending, span, key)
-            return
-
-        metrics.counter("batch.coalesced").inc(len(run))
-        items = []
-        for k, (pending, _) in enumerate(run):
-            request = pending.request
-            base = request.options or self.framework.options
-            deadline = pending.deadline
-            if base.deadline is not None:
-                deadline = (
-                    base.deadline if deadline is None
-                    else min(deadline, base.deadline)
-                )
-            items.append(BatchItem(
-                index=k,
-                problem=request.problem,
-                executor=pending.effective_executor,
-                options=base,
-                params=request.params,
-                functional=pending.effective_functional,
-                deadline=deadline,
-                cancel_token=pending.cancel_token,
-                key=self._batch_key_of(pending),
-            ))
-        affinity = (
-            items[0].key if self._backend.kind == "process" else None
-        )
-        started = time.monotonic()
-        with metrics.histogram("serve.execute_ms").time():
-            outcomes = self._backend.execute_batch(items, affinity=affinity)
-        # Calibrate on the *marginal* cost: the batch amortises one sweep
-        # over len(run) members, so each member's observed wall share is the
-        # honest per-request price for future coalesced admissions.
-        member_wall = (time.monotonic() - started) / len(run)
-        for (pending, key), outcome in zip(run, outcomes):
-            request = pending.request
-            with tracer.span(
-                "serve.request",
-                cat="serve",
-                problem=request.problem.name,
-                executor=pending.effective_executor,
-                priority=request.priority,
-                coalesced=len(run),
-            ) as span:
-                if isinstance(outcome, SolveResult):
-                    self._observe_run(pending, member_wall)
-                if not self._resolve(pending, span, key, outcome):
-                    # Retryable failure inside the batch: this member gets
-                    # the full per-request retry path (fresh attempts — the
-                    # batched try was the free one).
-                    span.set(batch_failed=type(outcome).__name__)
-                    self._attempt(pending, span, key)
-
     def _control_options(
         self, request: SolveRequest, pending: PendingSolve
     ) -> ExecOptions:
@@ -1234,21 +1141,13 @@ class SolveService:
         Merges the pending deadline with any options-level one (earlier
         wins) and threads the per-request cancel token; both fields are
         ``repr``-excluded, so cache keys are unaffected. Shared by the
-        backend execution path and the delta patch, which must honor the
-        same deadline/cancellation contract.
+        backend execution path, the batch items of a coalesced set and the
+        delta patch, which must honor the same deadline/cancellation
+        contract.
         """
-        base = request.options or self.framework.options
-        deadline = pending.deadline
-        if base.deadline is not None:
-            deadline = (
-                base.deadline if deadline is None
-                else min(deadline, base.deadline)
-            )
-        if deadline is not None or pending.cancel_token is not None:
-            return base.replace(
-                deadline=deadline, cancel_token=pending.cancel_token
-            )
-        return base
+        return (request.options or self.framework.options).with_control(
+            pending.deadline, pending.cancel_token
+        )
 
     def _execute(self, request: SolveRequest, pending: PendingSolve) -> SolveResult:
         """One backend run with the request's control plane injected.

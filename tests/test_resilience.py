@@ -330,6 +330,50 @@ class TestFaultInstallation:
         assert get_metrics().counter("faults.injected").value >= 1
 
 
+# -- one control-plane merge ---------------------------------------------------
+
+
+class TestControlMerge:
+    """``ExecOptions.with_control``: the earliest deadline wins and a given
+    token replaces the options' one, at every entry point."""
+
+    def test_earliest_deadline_wins(self):
+        opts = ExecOptions(deadline=10.0)
+        assert opts.with_control(20.0).deadline == 10.0
+        assert opts.with_control(5.0).deadline == 5.0
+        assert opts.with_control().deadline == 10.0
+        assert ExecOptions().with_control(7.0).deadline == 7.0
+
+    def test_given_token_replaces(self):
+        old, new = CancelToken(), CancelToken()
+        opts = ExecOptions(cancel_token=old)
+        assert opts.with_control(cancel_token=new).cancel_token is new
+        assert opts.with_control(1.0).cancel_token is old
+
+    def test_unchanged_options_are_returned_as_is(self):
+        opts = ExecOptions(deadline=1.0)
+        assert opts.with_control() is opts
+        assert opts.with_control(2.0) is opts
+
+    @pytest.mark.parametrize("timeout", [None, 60.0])
+    def test_solve_keeps_an_expired_options_deadline(self, timeout):
+        opts = ExecOptions(deadline=time.monotonic() - 1.0)
+        with pytest.raises(ServiceTimeout):
+            Framework(hetero_high()).solve(
+                make_levenshtein(24), executor="cpu", options=opts,
+                timeout=timeout,
+            )
+
+    @pytest.mark.parametrize("timeout", [None, 60.0])
+    def test_solve_many_keeps_an_expired_options_deadline(self, timeout):
+        opts = ExecOptions(deadline=time.monotonic() - 1.0)
+        fleet = [make_levenshtein(24, seed=k) for k in range(3)]
+        with pytest.raises(ServiceTimeout):
+            Framework(hetero_high()).solve_many(
+                fleet, executor="cpu", options=opts, timeout=timeout,
+            )
+
+
 # -- deadline / cancellation in every executor --------------------------------
 
 EXECUTORS = ["sequential", "cpu", "cpu-blocked", "cpu-wavefront-major", "gpu", "hetero"]

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from repro import ContributingSet, Framework, LDDPProblem
+from repro import ContributingSet, ExecOptions, Framework, LDDPProblem
 from repro.errors import (
     CacheKeyError,
     ServiceClosed,
@@ -403,6 +403,191 @@ class TestMetricsExported:
         assert len(spans) == 2
         outcomes = sorted(s.attrs.get("outcome") for s in spans)
         assert outcomes == ["hit", "miss"]
+
+
+# -- one request lifecycle: solo == a coalesced set of one ---------------------
+
+
+def _gate_problem(entered: threading.Event, release: threading.Event):
+    """A blocker whose init signals ``entered``, then waits for ``release``."""
+
+    def init(table, payload):
+        entered.set()
+        release.wait(timeout=10.0)
+
+    return LDDPProblem(
+        name="gate", shape=(4, 6), contributing=ContributingSet.of("W"),
+        cell=lambda ctx: ctx.w + 1, init=init,
+    )
+
+
+def _edited(problem: LDDPProblem) -> LDDPProblem:
+    """``problem`` with its last ``a`` element bumped (a delta candidate)."""
+    from dataclasses import replace
+
+    payload = dict(problem.payload)
+    payload["a"] = payload["a"].copy()
+    payload["a"][-1] += 1
+    return replace(problem, payload=payload)
+
+
+def _downgrade_policy():
+    from repro.slo import SLOPolicy
+
+    return SLOPolicy(safety_factor=1.0, dispatch_overhead=0.0,
+                     scale_interval=10.0)
+
+
+#: outcome -> (config overrides, warm-up problems, request factory)
+_LIFECYCLE = {
+    "hit": (
+        {},
+        [make_costs_problem(costs(seed=0))],
+        lambda k: SolveRequest(make_costs_problem(costs(seed=0))),
+    ),
+    "expired": (
+        {},
+        [],
+        lambda k: SolveRequest(make_costs_problem(costs(seed=k)),
+                               timeout=0.01),
+    ),
+    "cancelled": (
+        {},
+        [],
+        lambda k: SolveRequest(make_costs_problem(costs(seed=k))),
+    ),
+    "delta": (
+        {"options": ExecOptions(delta=True)},
+        [make_levenshtein(48, seed=k) for k in range(3)],
+        lambda k: SolveRequest(_edited(make_levenshtein(48, seed=k))),
+    ),
+    "downgraded": (
+        {"slo": _downgrade_policy()},
+        [],
+        lambda k: SolveRequest(make_costs_problem(costs(seed=k)),
+                               timeout=1.0),
+    ),
+}
+
+_COUNTERS = (
+    "serve.requests.completed", "serve.requests.timeout",
+    "serve.requests.cancelled", "serve.requests.failed",
+    "serve.cache.hits", "serve.cache.misses", "serve.cache.delta_hit",
+    "serve.admission.downgraded",
+)
+
+_SPAN_ATTRS = ("problem", "executor", "outcome", "downgraded", "delta")
+
+
+def _run_lifecycle(outcome: str, window: float):
+    """Queue three batch-compatible requests behind a gated blocker, release
+    them together and report what the service did with each.
+
+    Returns the pending handles, the targets' ``_process_batch`` set sizes, the
+    counter deltas over the release and the targets' ``serve.request``
+    span attributes (spans read after ``close``, so all have ended).
+    """
+    from repro.obs import Tracer, use_tracer
+
+    overrides, warm, make = _LIFECYCLE[outcome]
+    cfg = ServiceConfig(workers=1, coalesce_window=window, **overrides)
+    entered, release = threading.Event(), threading.Event()
+    sizes: list[int] = []
+    tracer = Tracer()
+    metrics = get_metrics()
+    with use_tracer(tracer):
+        with SolveService(hetero_high(), config=cfg) as svc:
+            for problem in warm:
+                svc.solve(problem)
+            if outcome == "downgraded":
+                # hetero misses the 1 s deadline by 10x; cpu fits easily.
+                units = svc._pricer.units(make_costs_problem(costs()))
+                svc._pricer.observe("hetero", True, units=units, wall=10.0)
+                svc._pricer.observe("cpu", True, units=units, wall=1e-3)
+            process_batch = svc._process_batch
+
+            def spy(members):
+                if members[0].request.problem.name != "gate":
+                    sizes.append(len(members))
+                process_batch(members)
+
+            svc._process_batch = spy
+            tracer.clear()
+            before = {name: metrics.counter(name).value for name in _COUNTERS}
+            hold = svc.submit(SolveRequest(
+                _gate_problem(entered, release), executor="cpu",
+                cacheable=False,
+            ))
+            assert entered.wait(timeout=10.0)
+            pending = [svc.submit(make(k)) for k in range(3)]
+            if outcome == "cancelled":
+                assert all(p.cancel() for p in pending)
+            if outcome == "expired":
+                time.sleep(0.03)
+            release.set()
+            hold.result()
+    counts = {
+        name: metrics.counter(name).value - before[name] for name in _COUNTERS
+    }
+    spans = [
+        {k: s.attrs.get(k) for k in _SPAN_ATTRS}
+        for s in tracer.finished_spans()
+        if s.name == "serve.request" and s.attrs.get("problem") != "gate"
+    ]
+    return pending, sizes, counts, spans
+
+
+class TestLifecycleEquivalence:
+    """A request settles the same way alone and inside a drained set: same
+    outcome, counters and ``serve.request`` span attributes."""
+
+    @pytest.mark.parametrize("window", [0.0, 0.05], ids=["solo", "drained"])
+    @pytest.mark.parametrize("outcome", list(_LIFECYCLE))
+    def test_outcome_counters_and_spans(self, outcome, window):
+        pending, sizes, counts, spans = _run_lifecycle(outcome, window)
+        if window:
+            assert sizes == [3]  # the targets really were one drained set
+        expected_counts = dict.fromkeys(_COUNTERS, 0)
+        expected_counts["serve.requests.completed"] = 1  # the blocker
+        span = {k: None for k in _SPAN_ATTRS}
+        if outcome == "cancelled":
+            assert all(p._future.cancelled() for p in pending)
+            expected_counts["serve.requests.cancelled"] = 3
+            assert spans == []
+            assert counts == expected_counts
+            return
+        if outcome == "expired":
+            for p in pending:
+                exc = p.exception()
+                assert isinstance(exc, ServiceTimeout)
+                assert "in the queue" in str(exc)
+            expected_counts["serve.requests.timeout"] = 3
+            span.update(problem="serve-costs", executor="hetero",
+                        outcome="timeout")
+        else:
+            results = [p.result() for p in pending]
+            expected_counts["serve.requests.completed"] += 3
+            if outcome == "hit":
+                expected_counts["serve.cache.hits"] = 3
+                span.update(problem="serve-costs", executor="hetero",
+                            outcome="hit")
+            elif outcome == "delta":
+                assert [r.stats["solver"] for r in results] == ["delta"] * 3
+                expected_counts["serve.cache.misses"] = 3
+                expected_counts["serve.cache.delta_hit"] = 3
+                span.update(problem="levenshtein-48x48", executor="hetero",
+                            outcome="miss", delta=True)
+            else:  # downgraded
+                assert {r.executor for r in results} == {"cpu"}
+                assert {p.downgraded for p in pending} == {
+                    "executor 'hetero' -> 'cpu'"}
+                expected_counts["serve.cache.misses"] = 3
+                expected_counts["serve.admission.downgraded"] = 3
+                span.update(problem="serve-costs", executor="cpu",
+                            outcome="miss",
+                            downgraded="executor 'hetero' -> 'cpu'")
+        assert counts == expected_counts
+        assert spans == [span] * 3
 
 
 # -- the cache in isolation ----------------------------------------------------
