@@ -5,18 +5,18 @@ instances of identical 128x128 geometry but distinct string payloads (one
 seed each) — batch-compatible by :func:`repro.batch.batch_key`, yet never
 cache-equal, so the result cache cannot help either side.
 
-Three ways to drain the fleet are timed:
+Three arms drain the fleet:
 
 * **serve** — the per-instance baseline: a ``SolveService`` worker pool
-  with coalescing off, one framework run per request (PR 2 semantics);
+  with coalescing off, one framework run per request;
 * **coalesced** — the same service with a coalescing window: workers drain
   compatible queued requests into stacked batch executions;
 * **solve_many** — the direct programmatic path, no service in between.
 
 The acceptance bar is **batched >= 2x per-instance serving** throughput
-(``TARGET_RATIO``), checked for the coalesced service; results land in
-``BENCH_batch.json`` at the repo root and ``benchmarks/results/``. Tables
-from every path are verified bit-identical against plain ``solve`` calls.
+(``TARGET_RATIO``) on the minimums, checked for the coalesced service.
+Tables from every arm are verified bit-identical against plain ``solve``
+calls. Results also land in ``BENCH_batch.json`` at the repo root.
 
 Run standalone (CI smoke)::
 
@@ -27,145 +27,87 @@ or through pytest alongside the other benchmarks.
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
 import sys
-import time
-from pathlib import Path
 
 import numpy as np
 
+import _harness
 from repro import Framework
 from repro.machine.platform import hetero_high
 from repro.problems import make_levenshtein
 from repro.serve import ServiceConfig, SolveRequest, SolveService
 
-REPO_ROOT = Path(__file__).parent.parent
-RESULTS_DIR = Path(__file__).parent / "results"
+ROOT_JSON = "BENCH_batch.json"
 TARGET_RATIO = 2.0
+WORKERS = 4
 
 
-def _fleet(n: int, size: int) -> list:
-    """``n`` same-geometry Levenshtein instances with distinct payloads."""
-    return [make_levenshtein(size, seed=s) for s in range(n)]
-
-
-def _drain(svc: SolveService, problems: list) -> tuple[float, list]:
-    t0 = time.perf_counter()
+def _drain(svc: SolveService, problems: list) -> list:
     pending = [svc.submit(SolveRequest(p)) for p in problems]
-    results = [p.result() for p in pending]
-    return time.perf_counter() - t0, results
+    return [p.result() for p in pending]
 
 
-def measure(quick: bool = False, workers: int = 4) -> dict:
+def measure(quick: bool, reps: int) -> dict:
     n = 32 if quick else 64
     size = 64 if quick else 128
-    fleet = _fleet(n, size)
-
+    fleet = [make_levenshtein(size, seed=s) for s in range(n)]
     fw = Framework(hetero_high())
-    oracle = [fw.solve(p).table for p in fleet]  # also warms the plan cache
-
-    with SolveService(hetero_high(), config=ServiceConfig(workers=workers, queue_size=n + 8,
-                      cache_size=0)) as svc:
-        solo_s, solo_res = _drain(svc, fleet)
-
-    with SolveService(hetero_high(), config=ServiceConfig(workers=workers, queue_size=n + 8,
-                      cache_size=0, coalesce_window=0.02,
-                      max_batch=n)) as svc:
-        coal_s, coal_res = _drain(svc, fleet)
-
-    t0 = time.perf_counter()
-    many_res = fw.solve_many(fleet, max_batch=n)
-    many_s = time.perf_counter() - t0
-
-    identical = all(
-        np.array_equal(o, a.table) and np.array_equal(o, b.table)
-        and np.array_equal(o, c.table)
-        for o, a, b, c in zip(oracle, solo_res, coal_res, many_res)
-    )
-    batched = sum(
-        1 for r in coal_res if r.stats.get("batched", 0) > 1
-    )
+    oracle = [fw.solve(p).table for p in fleet]
+    solo = ServiceConfig(workers=WORKERS, queue_size=n + 8, cache_size=0)
+    coal = solo.replace(coalesce_window=0.02, max_batch=n)
+    with SolveService(hetero_high(), config=solo) as solo_svc, \
+            SolveService(hetero_high(), config=coal) as coal_svc:
+        timings, results = _harness.time_arms({
+            "serve": lambda: _drain(solo_svc, fleet),
+            "coalesced": lambda: _drain(coal_svc, fleet),
+            "solve_many": lambda: fw.solve_many(fleet, max_batch=n),
+        }, reps)
     return {
-        "benchmark": "batch_throughput",
         "target_ratio": TARGET_RATIO,
-        "instances": n,
-        "size": size,
-        "workers": workers,
-        "serve_s": solo_s,
-        "coalesced_s": coal_s,
-        "solve_many_s": many_s,
-        "serve_rps": n / solo_s,
-        "coalesced_rps": n / coal_s,
-        "solve_many_rps": n / many_s,
-        "ratio": solo_s / coal_s,
-        "solve_many_ratio": solo_s / many_s,
-        "coalesced_requests": batched,
-        "bit_identical": identical,
+        "workers": WORKERS,
+        "workloads": [{
+            "workload": f"{n} x levenshtein-{size} (distinct payloads)",
+            "arms": timings,
+            **_harness.speedup(timings, "serve", "coalesced"),
+            "solve_many_ratio": _harness.speedup(
+                timings, "serve", "solve_many")["ratio"],
+            "coalesced_requests": sum(
+                1 for r in results["coalesced"] if r.stats.get("batched", 0) > 1
+            ),
+            "bit_identical": all(
+                np.array_equal(o, r.table)
+                for arm in results.values() for o, r in zip(oracle, arm)
+            ),
+        }],
     }
 
 
-def report(r: dict) -> str:
-    return "\n".join([
-        f"batch throughput — {r['instances']} x levenshtein-{r['size']} "
-        f"(distinct payloads), {r['workers']} workers",
-        f"  serve, per-instance : {r['serve_s']:8.3f} s  "
-        f"{r['serve_rps']:8.1f} solves/s",
-        f"  serve, coalesced    : {r['coalesced_s']:8.3f} s  "
-        f"{r['coalesced_rps']:8.1f} solves/s  "
-        f"({r['coalesced_requests']}/{r['instances']} batched)",
-        f"  solve_many          : {r['solve_many_s']:8.3f} s  "
-        f"{r['solve_many_rps']:8.1f} solves/s",
-        f"  speedup             : {r['ratio']:8.2f}x coalesced, "
-        f"{r['solve_many_ratio']:.2f}x solve_many "
-        f"(target >= {r['target_ratio']}x; tables "
-        f"{'bit-identical' if r['bit_identical'] else 'DIFFER'})",
-    ])
-
-
-def _write(r: dict, text: str) -> None:
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "batch_throughput.txt").write_text(text + "\n")
-    (REPO_ROOT / "BENCH_batch.json").write_text(json.dumps(r, indent=2) + "\n")
+def report(r: dict) -> list[str]:
+    w = r["workloads"][0]
+    return [
+        f"  {r['workers']} workers; {w['coalesced_requests']} coalesced "
+        f"requests batched; serve/solve_many {w['solve_many_ratio']:.2f}x; "
+        f"target serve/coalesced >= {TARGET_RATIO}x; tables "
+        f"{'bit-identical' if w['bit_identical'] else 'DIFFER'}"
+    ]
 
 
 def _gate(r: dict) -> str | None:
     """First failed acceptance condition, or ``None`` when all hold."""
-    if not r["bit_identical"]:
+    w = r["workloads"][0]
+    if not w["bit_identical"]:
         return "batched tables must match per-instance solves"
-    if r["ratio"] < TARGET_RATIO:
+    if w["ratio"] < TARGET_RATIO:
         return (
-            f"coalesced/per-instance throughput ratio {r['ratio']:.2f}x "
+            f"coalesced/per-instance throughput ratio {w['ratio']:.2f}x "
             f"below the {TARGET_RATIO}x acceptance bar"
         )
     return None
 
 
 def test_batched_doubles_serving_throughput():
-    r = measure(quick=os.environ.get("REPRO_BENCH_QUICK", "") == "1")
-    _write(r, report(r))
-    failure = _gate(r)
-    assert failure is None, failure
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true",
-                        help="smaller fleet (CI smoke); gate still applies")
-    parser.add_argument("--workers", type=int, default=4)
-    args = parser.parse_args(argv)
-
-    r = measure(quick=args.quick, workers=args.workers)
-    text = report(r)
-    print(text)
-    _write(r, text)
-    failure = _gate(r)
-    if failure is not None:
-        print(f"FAIL: {failure}", file=sys.stderr)
-        return 1
-    return 0
+    assert _harness.run(__name__, []) == 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(_harness.run(__name__))

@@ -15,12 +15,9 @@ string, so its invalidation cone sweeps every later wavefront).  Patched
 cost tracks the *cone*, not the table; the suffix cone must stay smaller
 than the interior cone.
 
-Both arms — :func:`repro.delta.delta_patch` and a full ``Framework.solve``
-of the edited instance — get one untimed warm-up run and the same number of
-timed repetitions; the report gives the min and the median of each, and the
-gate uses the ratio of the minimums. Results land in
-``benchmarks/results/delta_reuse.txt`` and in ``BENCH_delta.json`` at the
-repo root.
+The two arms are :func:`repro.delta.delta_patch` and a full
+``Framework.solve`` of the edited instance; the gate reads the ratio of the
+minimums. Results also land in ``BENCH_delta.json`` at the repo root.
 
 Run standalone (CI perf smoke)::
 
@@ -33,74 +30,41 @@ ratio gate is enforced at full size.
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import statistics
 import sys
-import time
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 
+import _harness
 from repro import ExecOptions, Framework
 from repro.delta import delta_patch
 from repro.machine.platform import hetero_high
 from repro.problems import make_checkerboard, make_levenshtein
 
-REPO_ROOT = Path(__file__).parent.parent
-RESULTS_DIR = Path(__file__).parent / "results"
+ROOT_JSON = "BENCH_delta.json"
 TARGET_RATIO = 5.0
 EXECUTOR = "cpu"
 
 
-def _edited_char(problem, index: int):
-    """The problem with character ``index`` of string ``a`` replaced."""
+def _edited(problem, key: str, index):
+    """The problem with ``payload[key][index]`` incremented by one."""
     payload = dict(problem.payload)
-    a = payload["a"].copy()
-    a[index] = a[index] + 1
-    payload["a"] = a
+    payload[key] = payload[key].copy()
+    payload[key][index] += 1
     return replace(problem, payload=payload)
 
 
-def _edited_row(problem, row: int):
-    """The problem with row ``row`` of the cost board perturbed."""
-    payload = dict(problem.payload)
-    cost = payload["cost"].copy()
-    cost[row, :] += 1.0
-    payload["cost"] = cost
-    return replace(problem, payload=payload)
-
-
-def _timed(run, reps: int):
-    """One untimed warm-up, then ``reps`` timed runs.
-
-    Returns ``(min s, median s, result of the last run)``.
-    """
-    result = run()
-    times = []
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        result = run()
-        times.append(time.perf_counter() - t0)
-    return min(times), statistics.median(times), result
-
-
-def _measure_edit(fw, base, base_result, edited, label: str,
-                  reps: int) -> dict:
-    fresh_s, fresh_med, fresh = _timed(
-        lambda: fw.solve(edited, executor=EXECUTOR,
-                         options=ExecOptions(delta=False)),
-        reps,
-    )
+def _measure_edit(fw, base, edited, label: str, reps: int) -> dict:
+    base_result = fw.solve(base, executor=EXECUTOR)
+    no_delta = ExecOptions(delta=False)
     options = ExecOptions(delta=True, delta_max_cone=1.0)
-    patch_s, patch_med, patched = _timed(
-        lambda: delta_patch(edited, base.payload, base_result,
-                            platform=hetero_high(), options=options,
-                            executor=EXECUTOR),
-        reps,
-    )
+    timings, res = _harness.time_arms({
+        "fresh": lambda: fw.solve(edited, executor=EXECUTOR, options=no_delta),
+        "patch": lambda: delta_patch(edited, base.payload, base_result,
+                                     platform=hetero_high(), options=options,
+                                     executor=EXECUTOR),
+    }, reps)
+    patched = res["patch"]
     assert patched.stats["solver"] == "delta", patched.stats
     return {
         "workload": label,
@@ -110,75 +74,46 @@ def _measure_edit(fw, base, base_result, edited, label: str,
         "cone_cells": patched.stats["delta_cone_cells"],
         "cone_fraction": patched.stats["delta_cone_fraction"],
         "cone_waves": patched.stats["delta_waves"],
-        "fresh_s": fresh_s,
-        "fresh_median_s": fresh_med,
-        "patch_s": patch_s,
-        "patch_median_s": patch_med,
-        "ratio": fresh_s / patch_s,
-        "ratio_median": fresh_med / patch_med,
-        "bit_identical": bool(np.array_equal(patched.table, fresh.table)),
+        "arms": timings,
+        **_harness.speedup(timings, "fresh", "patch"),
+        "bit_identical": bool(
+            np.array_equal(patched.table, res["fresh"].table)
+        ),
     }
 
 
-def measure(quick: bool = False, reps: int = 5) -> dict:
+def measure(quick: bool, reps: int) -> dict:
     size = 256 if quick else 1024
     fw = Framework(hetero_high())
-
     board = make_checkerboard(size)
-    board_result = fw.solve(board, executor=EXECUTOR)
-    lastrow = _measure_edit(
-        fw, board, board_result, _edited_row(board, size - 1),
-        f"lastrow-edit-{size}", reps,
-    )
-
     lev = make_levenshtein(size)
-    lev_result = fw.solve(lev, executor=EXECUTOR)
-    suffix = _measure_edit(
-        fw, lev, lev_result, _edited_char(lev, size - 1),
-        f"suffix-edit-{size}", reps,
-    )
-    interior = _measure_edit(
-        fw, lev, lev_result, _edited_char(lev, (size * 3) // 4),
-        f"interior-edit-{size}", reps,
-    )
     return {
-        "benchmark": "delta_reuse",
         "target_ratio": TARGET_RATIO,
         "executor": EXECUTOR,
-        "reps": reps,
-        "quick": quick,
         "ratio_gate_active": not quick,
-        "workloads": [lastrow, suffix, interior],
+        "workloads": [
+            _measure_edit(fw, board, _edited(board, "cost", size - 1),
+                          f"lastrow-edit-{size}", reps),
+            _measure_edit(fw, lev, _edited(lev, "a", size - 1),
+                          f"suffix-edit-{size}", reps),
+            _measure_edit(fw, lev, _edited(lev, "a", (size * 3) // 4),
+                          f"interior-edit-{size}", reps),
+        ],
     }
 
 
-def report(r: dict) -> str:
-    gate = (f"target >= {r['target_ratio']}x on the 1-row edit"
-            if r["ratio_gate_active"] else "ratio informational (quick)")
+def report(r: dict) -> list[str]:
     lines = [
-        f"delta tier — patched near-duplicates vs fresh solves "
-        f"(min / median of {r['reps']} runs per arm after one warm-up, "
-        f"{gate})"
+        f"  {w['workload']:<18} probe {w['probe']:<8} "
+        f"cone {w['cone_cells']:>8} cells "
+        f"({w['cone_fraction'] * 100:5.2f}% of table)   "
+        f"bit-identical: {w['bit_identical']}"
+        for w in r["workloads"]
     ]
-    for w in r["workloads"]:
-        lines.append(
-            f"  {w['workload']:<18} probe {w['probe']:<8} "
-            f"cone {w['cone_cells']:>8} cells "
-            f"({w['cone_fraction'] * 100:5.2f}% of table)   "
-            f"fresh {w['fresh_s'] * 1e3:7.2f} / "
-            f"{w['fresh_median_s'] * 1e3:7.2f} ms   "
-            f"patch {w['patch_s'] * 1e3:6.2f} / "
-            f"{w['patch_median_s'] * 1e3:6.2f} ms   "
-            f"{w['ratio']:6.2f}x / {w['ratio_median']:6.2f}x   "
-            f"bit-identical: {w['bit_identical']}"
-        )
-    return "\n".join(lines)
-
-
-def _write_outputs(r: dict, text: str) -> None:
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "delta_reuse.txt").write_text(text + "\n")
-    (REPO_ROOT / "BENCH_delta.json").write_text(json.dumps(r, indent=2) + "\n")
+    lines.append(f"  target >= {TARGET_RATIO}x on the 1-row edit"
+                 if r["ratio_gate_active"]
+                 else "  ratio informational (quick)")
+    return lines
 
 
 def _gate(r: dict) -> str | None:
@@ -192,39 +127,17 @@ def _gate(r: dict) -> str | None:
             "suffix-edit cone is not smaller than the interior-edit cone — "
             "cone scaling is broken"
         )
-    if r["ratio_gate_active"] and lastrow["ratio"] < r["target_ratio"]:
+    if r["ratio_gate_active"] and lastrow["ratio"] < TARGET_RATIO:
         return (
             f"delta speedup {lastrow['ratio']:.2f}x below the "
-            f"{r['target_ratio']}x acceptance bar on {lastrow['workload']}"
+            f"{TARGET_RATIO}x acceptance bar on {lastrow['workload']}"
         )
     return None
 
 
 def test_delta_reuse_speedup():
-    r = measure(quick=os.environ.get("REPRO_BENCH_QUICK", "") == "1")
-    _write_outputs(r, report(r))
-    failure = _gate(r)
-    assert failure is None, failure
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true",
-                        help="smaller table (256) for fast iteration; keeps "
-                             "bit-identity gates, skips the ratio gate")
-    parser.add_argument("--reps", type=int, default=5)
-    args = parser.parse_args(argv)
-
-    r = measure(quick=args.quick, reps=args.reps)
-    text = report(r)
-    print(text)
-    _write_outputs(r, text)
-    failure = _gate(r)
-    if failure is not None:
-        print(f"FAIL: {failure}", file=sys.stderr)
-        return 1
-    return 0
+    assert _harness.run(__name__, []) == 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(_harness.run(__name__))

@@ -7,9 +7,10 @@ test is two min/max scans, not a mask array, and there is no ``np.where``
 fill pair. The boundary case pays for masks and clipped indices; the old
 implementation paid that on *every* batch.
 
-Verified with ``tracemalloc`` (allocation bytes, not timing, so the result
-is machine-independent) plus a wall-clock comparison for reference. Results
-land in ``benchmarks/results/gather_neighbors.txt``.
+The gate reads ``tracemalloc`` peaks (allocation bytes, not timing, so the
+result is machine-independent). Both cases are also timed as arms, each rep
+``CALLS`` gathers, for reference. There is no quick mode: the script takes
+well under a second.
 
 Run standalone::
 
@@ -21,19 +22,17 @@ or through pytest alongside the other benchmarks.
 from __future__ import annotations
 
 import sys
-import time
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 
+import _harness
 from repro.core.cellfunc import gather_neighbors
 from repro.types import ContributingSet
 
-RESULTS_DIR = Path(__file__).parent / "results"
-
 ROWS = COLS = 1024
 WIDTH = 1000
+CALLS = 2000
 CONTRIBUTING = ContributingSet.of("W", "NW", "N")
 #: int64 gather output per neighbour; everything beyond outputs is overhead.
 OUTPUT_BYTES = 3 * WIDTH * 8
@@ -60,63 +59,54 @@ def _alloc_peak(table, i, j) -> int:
     return peak
 
 
-def _timing(table, i, j, reps: int = 2000) -> float:
-    best = float("inf")
-    for _ in range(5):
-        t0 = time.perf_counter()
-        for _ in range(reps):
-            gather_neighbors(table, CONTRIBUTING, i, j, oob_value=0)
-        best = min(best, (time.perf_counter() - t0) / reps)
-    return best
+def _gathers(table, i, j) -> None:
+    for _ in range(CALLS):
+        gather_neighbors(table, CONTRIBUTING, i, j, oob_value=0)
 
 
-def measure() -> dict:
+def measure(quick: bool, reps: int) -> dict:
     interior, boundary = _batches()
-    return {
-        "width": WIDTH,
+    timings, _ = _harness.time_arms({
+        "interior": lambda: _gathers(*interior),
+        "boundary": lambda: _gathers(*boundary),
+    }, reps)
+    return {"workloads": [{
+        "workload": f"{len(CONTRIBUTING.members())} neighbours x {WIDTH} "
+                    f"lanes, {CALLS} gathers per rep",
+        "arms": timings,
         "output_bytes": OUTPUT_BYTES,
         "interior_peak": _alloc_peak(*interior),
         "boundary_peak": _alloc_peak(*boundary),
-        "interior_us": _timing(*interior) * 1e6,
-        "boundary_us": _timing(*boundary) * 1e6,
-    }
+    }]}
 
 
-def report(r: dict) -> str:
-    return "\n".join([
-        f"gather_neighbors, {len(CONTRIBUTING.members())} neighbours x "
-        f"{r['width']} lanes ({r['output_bytes']} output bytes)",
-        f"  interior batch: peak alloc {r['interior_peak']:7d} B   "
-        f"{r['interior_us']:6.1f} us",
-        f"  boundary batch: peak alloc {r['boundary_peak']:7d} B   "
-        f"{r['boundary_us']:6.1f} us",
-    ])
+def report(r: dict) -> list[str]:
+    w = r["workloads"][0]
+    return [
+        f"  peak alloc per gather: interior {w['interior_peak']} B, "
+        f"boundary {w['boundary_peak']} B ({w['output_bytes']} output bytes)"
+    ]
 
 
-def test_interior_allocates_only_outputs():
-    r = measure()
+def _gate(r: dict) -> str | None:
+    """First failed acceptance condition, or ``None`` when all hold."""
+    w = r["workloads"][0]
     # Live at the peak: the gather outputs plus at most one neighbour's two
     # transient offset-index arrays (2/3 of output size here). Anything near
     # the boundary case's footprint means a mask/fill pair sneaked back in.
-    assert r["interior_peak"] < r["output_bytes"] * 2, (
-        f"interior gather allocated {r['interior_peak']} B peak for "
-        f"{r['output_bytes']} B of outputs — mask-path allocations are back"
-    )
-    assert r["boundary_peak"] > r["interior_peak"]
+    if w["interior_peak"] >= w["output_bytes"] * 2:
+        return (
+            f"interior gather allocated {w['interior_peak']} B peak for "
+            f"{w['output_bytes']} B of outputs — mask-path allocations are back"
+        )
+    if w["boundary_peak"] <= w["interior_peak"]:
+        return "boundary gather should allocate more than the interior one"
+    return None
 
 
-def main(argv: list[str] | None = None) -> int:
-    r = measure()
-    text = report(r)
-    print(text)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "gather_neighbors.txt").write_text(text + "\n")
-    if r["interior_peak"] >= r["output_bytes"] * 2:
-        print("FAIL: interior gather allocates beyond outputs + indices",
-              file=sys.stderr)
-        return 1
-    return 0
+def test_interior_allocates_only_outputs():
+    assert _harness.run(__name__, []) == 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(_harness.run(__name__))

@@ -7,10 +7,10 @@ the plan turns into pure strided views — with tables bit-for-bit identical
 to the sequential oracle. A horizontal-pattern workload (prefix sums: rows
 become contiguous slices) is reported alongside for the trajectory.
 
-Timings are min-of-N full sweeps through ``evaluate_span`` with the plan
-cache warm vs the same sweeps with ``fastpath=False``. Results land in
-``benchmarks/results/kernel_fastpath.txt`` and — the perf trajectory the
-ROADMAP asks for — in ``BENCH_kernels.json`` at the repo root.
+The two arms are full functional sweeps through ``evaluate_span``: with
+``fastpath=False`` (generic) and with the plan cache warm (the warm arm's
+untimed warm-up compiles the plan); the gate reads the ratio of the
+minimums. Results also land in ``BENCH_kernels.json`` at the repo root.
 
 Run standalone (CI perf smoke)::
 
@@ -21,43 +21,29 @@ or through pytest alongside the other benchmarks.
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
 import sys
-import time
-from pathlib import Path
 
 import numpy as np
 
+import _harness
 from repro.exec.base import evaluate_span
 from repro.kernels import get_plan_cache, plan_for
 from repro.patterns.registry import strategy_for
 from repro.problems import make_levenshtein, make_prefix_sum
 
-REPO_ROOT = Path(__file__).parent.parent
-RESULTS_DIR = Path(__file__).parent / "results"
+ROOT_JSON = "BENCH_kernels.json"
 TARGET_RATIO = 3.0
 
 
-def _sweep(problem, schedule, fastpath: bool) -> tuple[float, np.ndarray]:
-    """One full functional sweep; returns (seconds, finished table)."""
+def _sweep(problem, schedule, fastpath: bool) -> np.ndarray:
+    """One full functional sweep; returns the finished table."""
     table = problem.make_table()
     aux = problem.make_aux()
     widths = schedule.widths()
-    t0 = time.perf_counter()
     for t in range(schedule.num_iterations):
         if widths[t]:
             evaluate_span(problem, schedule, table, aux, t, fastpath=fastpath)
-    return time.perf_counter() - t0, table
-
-
-def _best_of(problem, schedule, fastpath: bool, reps: int) -> tuple[float, np.ndarray]:
-    best, table = _sweep(problem, schedule, fastpath)
-    for _ in range(reps - 1):
-        s, table = _sweep(problem, schedule, fastpath)
-        best = min(best, s)
-    return best, table
+    return table
 
 
 def _oracle_table(problem, schedule) -> np.ndarray:
@@ -73,74 +59,58 @@ def _oracle_table(problem, schedule) -> np.ndarray:
 
 def _measure_one(name: str, problem, reps: int, oracle: bool) -> dict:
     schedule = strategy_for(problem).schedule
-    generic_s, generic_table = _best_of(problem, schedule, False, reps)
-    _sweep(problem, schedule, True)  # warm the plan cache
+    timings, tables = _harness.time_arms({
+        "generic": lambda: _sweep(problem, schedule, False),
+        "warm": lambda: _sweep(problem, schedule, True),
+    }, reps)
     plan = plan_for(problem, schedule)
-    warm_s, warm_table = _best_of(problem, schedule, True, reps)
-    bit_identical = bool(np.array_equal(warm_table, generic_table))
+    bit_identical = bool(np.array_equal(tables["warm"], tables["generic"]))
     if oracle:
         bit_identical = bit_identical and bool(
-            np.array_equal(warm_table, _oracle_table(problem, schedule))
+            np.array_equal(tables["warm"], _oracle_table(problem, schedule))
         )
     return {
         "workload": name,
         "table_shape": list(problem.shape),
         "pattern": schedule.pattern.value,
         "wavefronts": schedule.num_iterations,
-        "generic_s": generic_s,
-        "warm_s": warm_s,
-        "ratio": generic_s / warm_s,
+        "arms": timings,
+        **_harness.speedup(timings, "generic", "warm"),
         "bit_identical": bit_identical,
         "span_modes": plan.span_modes() if plan is not None else {},
     }
 
 
-def measure(quick: bool = False, reps: int = 5) -> dict:
+def measure(quick: bool, reps: int) -> dict:
     size = 256 if quick else 512
-    cache = get_plan_cache()
-    results = [
+    workloads = [
         _measure_one(f"levenshtein-{size}", make_levenshtein(size), reps,
                      oracle=True),
         _measure_one(f"prefix-sum-{size}", make_prefix_sum(size), reps,
                      oracle=False),
     ]
+    cache = get_plan_cache()
     return {
-        "benchmark": "kernel_fastpath",
         "target_ratio": TARGET_RATIO,
-        "reps": reps,
         "plan_cache": {"size": len(cache), "hits": cache.hits,
                        "misses": cache.misses},
-        "workloads": results,
+        "workloads": workloads,
     }
 
 
-def report(r: dict) -> str:
+def report(r: dict) -> list[str]:
     lines = [
-        f"kernel fast path — warm compiled plans vs generic spans "
-        f"(min of {r['reps']} sweeps, target >= {r['target_ratio']}x)"
+        f"  {w['workload']}: {w['pattern']}, span modes {w['span_modes']}, "
+        f"bit-identical: {w['bit_identical']}"
+        for w in r["workloads"]
     ]
-    for w in r["workloads"]:
-        lines.append(
-            f"  {w['workload']:<18} {w['pattern']:<14} "
-            f"generic {w['generic_s'] * 1e3:8.2f} ms   "
-            f"warm {w['warm_s'] * 1e3:7.2f} ms   "
-            f"{w['ratio']:5.2f}x   "
-            f"bit-identical: {w['bit_identical']}"
-        )
     c = r["plan_cache"]
     lines.append(
-        f"  plan cache: {c['size']} plans, {c['hits']} hits / "
+        f"  target >= {TARGET_RATIO}x on {r['workloads'][0]['workload']}; "
+        f"plan cache: {c['size']} plans, {c['hits']} hits / "
         f"{c['misses']} misses"
     )
-    return "\n".join(lines)
-
-
-def _write_outputs(r: dict, text: str) -> None:
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "kernel_fastpath.txt").write_text(text + "\n")
-    (REPO_ROOT / "BENCH_kernels.json").write_text(
-        json.dumps(r, indent=2) + "\n"
-    )
+    return lines
 
 
 def _gate(r: dict) -> str | None:
@@ -157,29 +127,8 @@ def _gate(r: dict) -> str | None:
 
 
 def test_kernel_fastpath_speedup():
-    r = measure(quick=os.environ.get("REPRO_BENCH_QUICK", "") == "1")
-    _write_outputs(r, report(r))
-    failure = _gate(r)
-    assert failure is None, failure
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true",
-                        help="smaller table (256) for fast iteration")
-    parser.add_argument("--reps", type=int, default=5)
-    args = parser.parse_args(argv)
-
-    r = measure(quick=args.quick, reps=args.reps)
-    text = report(r)
-    print(text)
-    _write_outputs(r, text)
-    failure = _gate(r)
-    if failure is not None:
-        print(f"FAIL: {failure}", file=sys.stderr)
-        return 1
-    return 0
+    assert _harness.run(__name__, []) == 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(_harness.run(__name__))

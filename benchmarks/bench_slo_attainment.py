@@ -9,6 +9,10 @@ gate itself: >= 99% attainment for admitted requests with admission on, and
 a strictly worse baseline, proving the controller is doing real work rather
 than riding a trivially feasible workload.
 
+The soak replays a fixed-rate schedule and measures attainment, not wall
+clock, so this script times no arms (its workload reports ``"arms": {}``)
+and ignores ``--reps``.
+
 Run standalone (CI smoke)::
 
     python benchmarks/bench_slo_attainment.py --quick
@@ -18,31 +22,28 @@ or through pytest alongside the other benchmarks.
 
 from __future__ import annotations
 
-import argparse
-import os
 import sys
-from pathlib import Path
 
+import _harness
 from repro.slo import SoakConfig, run_soak
 
-RESULTS_DIR = Path(__file__).parent / "results"
+SEED = 0
 
 
-def _config(quick: bool, seed: int) -> SoakConfig:
+def measure(quick: bool, reps: int) -> dict:
     if quick:
-        return SoakConfig(
-            duration=2.0, rps=30.0, seed=seed, burst_size=16,
+        config = SoakConfig(
+            duration=2.0, rps=30.0, seed=SEED, burst_size=16,
             oracle_checks=3, cooldown=4.0, max_workers=3,
         )
-    return SoakConfig(duration=8.0, rps=40.0, seed=seed)
-
-
-def measure(quick: bool = False, seed: int = 0) -> dict:
-    report = run_soak(_config(quick, seed))
-    on = report["phases"]["admission_on"]
-    off = report["phases"]["admission_off"]
-    return {
-        "scheduled": report["scheduled_requests"],
+    else:
+        config = SoakConfig(duration=8.0, rps=40.0, seed=SEED)
+    soak = run_soak(config)
+    on = soak["phases"]["admission_on"]
+    off = soak["phases"]["admission_off"]
+    return {"workloads": [{
+        "workload": f"{soak['scheduled_requests']} scheduled requests",
+        "arms": {},
         "attainment_on": on["attainment"],
         "attainment_off": off["attainment"],
         "delta": on["attainment"] - off["attainment"],
@@ -50,55 +51,43 @@ def measure(quick: bool = False, seed: int = 0) -> dict:
         "downgraded": on["downgraded"],
         "quota_rejected": on["quota_rejected"],
         "max_workers_seen": on["max_workers_seen"],
-        "oracle_checked": report["oracle"]["checked"],
-        "oracle_mismatches": report["oracle"]["mismatches"],
-        "checks": report["checks"],
-        "ok": report["ok"],
-    }
+        "oracle_checked": soak["oracle"]["checked"],
+        "oracle_mismatches": soak["oracle"]["mismatches"],
+        "checks": soak["checks"],
+        "ok": soak["ok"],
+    }]}
 
 
-def report(r: dict) -> str:
-    return "\n".join([
-        f"SLO attainment — {r['scheduled']} scheduled requests, "
-        f"pool grew to {r['max_workers_seen']} workers",
-        f"  admission on  : {r['attainment_on']:7.2%} of admitted met their "
-        f"deadline ({r['shed']} shed, {r['downgraded']} downgraded, "
-        f"{r['quota_rejected']} over quota)",
-        f"  admission off : {r['attainment_off']:7.2%} (same schedule, "
+def report(r: dict) -> list[str]:
+    w = r["workloads"][0]
+    return [
+        f"  admission on  : {w['attainment_on']:7.2%} of admitted met their "
+        f"deadline ({w['shed']} shed, {w['downgraded']} downgraded, "
+        f"{w['quota_rejected']} over quota; pool grew to "
+        f"{w['max_workers_seen']} workers)",
+        f"  admission off : {w['attainment_off']:7.2%} (same schedule, "
         f"everything admitted FIFO on a fixed pool)",
-        f"  delta         : {r['delta']:+7.2%}  "
-        f"(oracle: {r['oracle_checked']} tables bit-compared, "
-        f"{r['oracle_mismatches']} mismatches)",
-        f"  gate          : {'PASS' if r['ok'] else 'FAIL'} {r['checks']}",
-    ])
+        f"  delta         : {w['delta']:+7.2%}  "
+        f"(oracle: {w['oracle_checked']} tables bit-compared, "
+        f"{w['oracle_mismatches']} mismatches)",
+        f"  soak checks   : {'PASS' if w['ok'] else 'FAIL'} {w['checks']}",
+    ]
+
+
+def _gate(r: dict) -> str | None:
+    """First failed acceptance condition, or ``None`` when all hold."""
+    w = r["workloads"][0]
+    if not w["ok"]:
+        return f"soak gate failed: {w['checks']}"
+    if w["delta"] <= 0:
+        return (f"admission-off baseline should be measurably worse "
+                f"(delta {w['delta']:+.2%})")
+    return None
 
 
 def test_admission_beats_baseline():
-    r = measure(quick=os.environ.get("REPRO_BENCH_QUICK", "") == "1")
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "slo_attainment.txt").write_text(report(r) + "\n")
-    assert r["ok"], f"soak gate failed: {r['checks']}"
-    assert r["delta"] > 0, "admission-off baseline should be measurably worse"
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true",
-                        help="short traffic window (CI smoke)")
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args(argv)
-
-    r = measure(quick=args.quick, seed=args.seed)
-    text = report(r)
-    print(text)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "slo_attainment.txt").write_text(text + "\n")
-    if not r["ok"] or r["delta"] <= 0:
-        print(f"FAIL: checks={r['checks']} delta={r['delta']:+.2%}",
-              file=sys.stderr)
-        return 1
-    return 0
+    assert _harness.run(__name__, []) == 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(_harness.run(__name__))

@@ -19,8 +19,9 @@ A planned :class:`~repro.batch.planner.BatchGroup` executes as follows:
    issues a single cell-function call per wavefront over the batch axis.
    Otherwise the *swept* tier calls the cell function once per instance per
    wavefront, still through the shared compiled span specs.
-4. **Per-item control.** Every wavefront re-checks each instance's deadline
-   and cancel token: an expired or cancelled instance leaves the sweep with
+4. **Per-item control.** Every wavefront re-checks the deadline and cancel
+   token of each instance's options (``item.options`` or the framework's):
+   an expired or cancelled instance leaves the sweep with
    :class:`~repro.errors.ServiceTimeout` / :class:`~repro.errors.SolveCancelled`
    while its batch-mates continue. A per-instance execution error likewise
    removes only that instance.
@@ -45,7 +46,7 @@ import numpy as np
 
 from ..core.framework import Framework
 from ..errors import ServiceTimeout, SolveCancelled
-from ..exec.base import SolveResult
+from ..exec.base import ExecOptions, SolveResult
 from ..faults import PASSTHROUGH, check_fault, degrade, record
 from ..kernels import generic_span, plan_for
 from ..obs import get_metrics, get_tracer
@@ -107,22 +108,21 @@ def _solo_outcome(item: BatchItem, framework: Framework):
 
 
 def _solo(item: BatchItem, framework: Framework) -> SolveResult:
-    """One per-instance Framework run with the item's control threaded in."""
-    options = (item.options or framework.options).with_control(
-        item.deadline, item.cancel_token
-    )
+    """One per-instance Framework run; the item's options carry its control."""
     run = framework.solve if item.functional else framework.estimate
     return run(item.problem, executor=item.executor, params=item.params,
-               options=options)
+               options=item.options)
 
 
-def _expired(item: BatchItem, now: float) -> BaseException | None:
+def _expired(item: BatchItem, options: ExecOptions,
+             now: float) -> BaseException | None:
     """The control-plane exception for ``item`` at time ``now``, if any."""
-    if item.cancel_token is not None and item.cancel_token.cancelled():
+    token = options.cancel_token
+    if token is not None and token.cancelled():
         return SolveCancelled(
             f"batched solve of {item.problem.name!r} cancelled by its token"
         )
-    if item.deadline is not None and now >= item.deadline:
+    if options.deadline is not None and now >= options.deadline:
         return ServiceTimeout(
             f"batched solve of {item.problem.name!r} exceeded its deadline "
             "mid-batch"
@@ -136,7 +136,8 @@ def _execute_stack(
     items = group.items
     size = len(items)
     rep = items[0]
-    options = rep.options or framework.options
+    controls = [item.options or framework.options for item in items]
+    options = controls[0]
     metrics = get_metrics()
     tracer = get_tracer()
 
@@ -152,7 +153,7 @@ def _execute_stack(
     if not rep.functional:
         now = time.monotonic()
         for k, item in enumerate(items):
-            stopped = _expired(item, now)
+            stopped = _expired(item, controls[k], now)
             outcomes[k] = stopped if stopped is not None else _replicate(
                 est, item, size, "estimate")
         return outcomes  # type: ignore[return-value]
@@ -182,7 +183,7 @@ def _execute_stack(
     widths = schedule.widths()
     active = list(range(size))
     control = any(
-        it.deadline is not None or it.cancel_token is not None for it in items
+        c.deadline is not None or c.cancel_token is not None for c in controls
     )
     with tracer.span(
         "batch.group", cat="batch", size=size, mode=mode,
@@ -192,7 +193,7 @@ def _execute_stack(
             if control:
                 now = time.monotonic()
                 for k in list(active):
-                    stopped = _expired(items[k], now)
+                    stopped = _expired(items[k], controls[k], now)
                     if stopped is not None:
                         outcomes[k] = stopped
                         active.remove(k)

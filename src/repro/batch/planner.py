@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..cancel import CancelToken
 from ..core.partition import HeteroParams
 from ..core.problem import LDDPProblem
 from ..exec.base import ExecOptions
@@ -108,10 +107,10 @@ class BatchItem:
     """One instance inside a planned batch.
 
     ``index`` is the position in the caller's original sequence, used to
-    scatter per-item outcomes back into input order. ``deadline`` (absolute
-    ``time.monotonic()`` seconds) and ``cancel_token`` are per-item control:
-    the batch sweep checks both at every wavefront, so one expired request
-    never stalls or fails its batch-mates.
+    scatter per-item outcomes back into input order. Per-item control is
+    the ``deadline`` and ``cancel_token`` of ``options`` (or of the
+    framework's options): the batch sweep checks both at every wavefront,
+    so one expired request never stalls or fails its batch-mates.
     """
 
     index: int
@@ -120,8 +119,6 @@ class BatchItem:
     options: ExecOptions | None = None
     params: HeteroParams | None = None
     functional: bool = True
-    deadline: float | None = None
-    cancel_token: CancelToken | None = None
     key: str | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:

@@ -181,16 +181,13 @@ class Framework:
         from ..batch import BatchItem, BatchPlanner, execute_group
 
         problems = list(problems)
-        # Items carry the merged control plane: the stacked sweep checks
-        # only per-item deadlines and tokens, never the options' own.
         control = (options or self.options).with_control(
             time.monotonic() + timeout if timeout is not None else None,
             cancel_token,
         )
         items = [
-            BatchItem(index=k, problem=p, executor=executor, options=options,
-                      params=params, deadline=control.deadline,
-                      cancel_token=control.cancel_token)
+            BatchItem(index=k, problem=p, executor=executor, options=control,
+                      params=params)
             for k, p in enumerate(problems)
         ]
         outcomes: list[SolveResult | BaseException | None] = [None] * len(items)

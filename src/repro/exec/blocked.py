@@ -125,6 +125,43 @@ def evaluate_skewed_block(
     return done
 
 
+def _blocked_grid(problem: LDDPProblem, options: ExecOptions,
+                  block_size: int):
+    """The strategy and tile grid of one ``cpu-blocked`` run."""
+    strategy = strategy_for(
+        problem,
+        pattern_override=options.pattern_override,
+        inverted_l_as_horizontal=options.inverted_l_as_horizontal,
+    )
+    rows, cols = problem.computed_shape
+    grid = grid_for(rows, cols, block_size, pattern=strategy.schedule.pattern,
+                    skewed=problem.contributing.ne)
+    return strategy, grid
+
+
+def _wave_costs(problem: LDDPProblem, platform, options: ExecOptions,
+                strategy, grid) -> list[tuple[int, int, float]]:
+    """``(t, blocks, seconds)`` of every non-empty block wavefront.
+
+    Each wave is one LPT-packed :meth:`~repro.machine.cpu.CPUModel.
+    blocked_time` task on the single ``cpu`` resource. The executor's
+    timeline and :func:`~repro.exec.fast_estimate.fast_blocked_makespan`
+    are both built from this one list, so the price equals the timeline's
+    makespan exactly.
+    """
+    work = problem.cpu_work * strategy.cpu_overhead
+    cpu = platform.cpu
+    costs = []
+    for t in range(grid.num_iterations):
+        check_control(options, f"estimate of {problem.name!r}")
+        blocks = grid.blocks(t)
+        if blocks:
+            costs.append(
+                (t, len(blocks), cpu.blocked_time([b.cells for b in blocks], work))
+            )
+    return costs
+
+
 class BlockedCPUExecutor(Executor):
     """CPU-only execution with ``block_size x block_size`` tiles."""
 
@@ -176,42 +213,20 @@ class BlockedCPUExecutor(Executor):
                         )
         return total_done
 
-    def _barrier_timeline(self, problem, grid, work):
+    def _barrier_timeline(self, costs):
         """The fork/join timing model: one LPT-packed task per wavefront."""
         engine = Engine()
-        cpu = self.platform.cpu
-        num_blocks = 0
-        for t in range(grid.num_iterations):
-            check_control(self.options, f"estimate of {problem.name!r}")
-            blocks = grid.blocks(t)
-            if not blocks:
-                continue
-            num_blocks += len(blocks)
-            engine.task(
-                "cpu",
-                cpu.blocked_time([blk.cells for blk in blocks], work),
-                label=f"block-wave[{t}]",
-                kind="compute",
-                iteration=t,
-                blocks=len(blocks),
-            )
-        return engine.run(), num_blocks
+        for t, blocks, seconds in costs:
+            engine.task("cpu", seconds, label=f"block-wave[{t}]",
+                        kind="compute", iteration=t, blocks=blocks)
+        return engine.run()
 
     # -- entry point ----------------------------------------------------------
 
     def _run(self, problem: LDDPProblem, functional: bool) -> SolveResult:
-        strategy = strategy_for(
-            problem,
-            pattern_override=self.options.pattern_override,
-            inverted_l_as_horizontal=self.options.inverted_l_as_horizontal,
-        )
+        strategy, grid = _blocked_grid(problem, self.options, self.block_size)
         pattern = strategy.schedule.pattern
-        rows, cols = problem.computed_shape
         skewed = problem.contributing.ne
-        grid = grid_for(
-            rows, cols, self.block_size, pattern=pattern, skewed=skewed
-        )
-        work = problem.cpu_work * strategy.cpu_overhead
 
         table = aux = None
         if functional:
@@ -228,7 +243,10 @@ class BlockedCPUExecutor(Executor):
                 if functional
                 else 0
             )
-            timeline, num_blocks = self._barrier_timeline(problem, grid, work)
+            costs = _wave_costs(problem, self.platform, self.options,
+                                strategy, grid)
+            timeline = self._barrier_timeline(costs)
+            num_blocks = sum(blocks for _, blocks, _ in costs)
             if functional and total_done != problem.total_computed_cells:
                 raise ExecutionError(
                     f"swept {total_done} cells, expected {problem.total_computed_cells}"

@@ -17,10 +17,10 @@ platforms, parameters and options.
 
 from __future__ import annotations
 
-from ..core.blocking import grid_for
 from ..core.partition import HeteroParams
 from ..core.problem import LDDPProblem
 from ..exec.base import ExecOptions, check_control, wavefront_contiguous
+from ..exec.blocked import _blocked_grid, _wave_costs
 from ..exec.hetero import _HALO_DEPTH
 from ..machine.platform import Platform
 from ..patterns.registry import strategy_for
@@ -215,13 +215,13 @@ def fast_blocked_makespan(
 ) -> float:
     """Simulated seconds for a ``cpu-blocked`` run, no task graph.
 
-    The phase model matches the blocked executor's DES exactly
-    (``tests/test_blocking.py`` asserts exact agreement with
-    ``BlockedCPUExecutor.estimate``): the engine serializes one LPT-packed
-    :meth:`~repro.machine.cpu.CPUModel.blocked_time` task per block
-    wavefront on a single ``cpu`` resource, so the makespan is their sum —
-    including the ramp-up/ramp-down waves where only a few tiles exist and
-    most cores idle behind the barrier. The previous practice of pricing
+    The sum of the blocked executor's own per-wave cost list
+    (:func:`repro.exec.blocked._wave_costs`), whose DES serializes one
+    LPT-packed :meth:`~repro.machine.cpu.CPUModel.blocked_time` task per
+    block wavefront on a single ``cpu`` resource, so the two agree exactly
+    (``tests/test_blocking.py`` asserts ``==``) — including the
+    ramp-up/ramp-down waves where only a few tiles exist and most cores
+    idle behind the barrier. The previous practice of pricing
     blocked runs with :func:`fast_hetero_makespan` had no notion of that
     barrier idle (it models per-cell splits, not fork/joined tiles) and
     systematically underestimated ramp-heavy geometries — a *shape* error
@@ -229,23 +229,7 @@ def fast_blocked_makespan(
     calibration cannot repair.
     """
     options = options or ExecOptions()
-    strategy = strategy_for(
-        problem,
-        pattern_override=options.pattern_override,
-        inverted_l_as_horizontal=options.inverted_l_as_horizontal,
-    )
-    pattern = strategy.schedule.pattern
-    rows, cols = problem.computed_shape
-    skewed = problem.contributing.ne
     block = block_size if block_size is not None else options.block_size
-    grid = grid_for(rows, cols, block, pattern=pattern, skewed=skewed)
-    work = problem.cpu_work * strategy.cpu_overhead
-    cpu = platform.cpu
-    total = 0.0
-    for t in range(grid.num_iterations):
-        if not t & 1023:  # cooperative checkpoint, amortized over the scan
-            check_control(options, f"estimate of {problem.name!r}")
-        cells = [blk.cells for blk in grid.blocks(t)]
-        if cells:
-            total += cpu.blocked_time(cells, work)
-    return total
+    strategy, grid = _blocked_grid(problem, options, block)
+    costs = _wave_costs(problem, platform, options, strategy, grid)
+    return sum(seconds for _, _, seconds in costs)

@@ -26,25 +26,17 @@ from ..exec.base import (
     evaluate_span,
     wavefront_contiguous,
 )
+from ..exec.hetero import _HALO_DEPTH
 from ..memory.buffers import TransferLedger
 from ..obs import get_metrics, get_tracer
 from ..patterns.registry import strategy_for
 from ..sim.engine import Engine
-from ..types import Pattern, TransferDirection, TransferKind
+from ..types import TransferDirection, TransferKind
 from .partition import MultiParams, segment_bounds
 from .platform import MultiPlatform
 from .tuning import multi_analytic_params
 
 __all__ = ["MultiHeteroExecutor"]
-
-_HALO_DEPTH: dict[Pattern, int] = {
-    Pattern.ANTI_DIAGONAL: 2,
-    Pattern.HORIZONTAL: 1,
-    Pattern.VERTICAL: 1,
-    Pattern.INVERTED_L: 1,
-    Pattern.MINVERTED_L: 1,
-    Pattern.KNIGHT_MOVE: 3,
-}
 
 
 class MultiHeteroExecutor(Executor):

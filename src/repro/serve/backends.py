@@ -278,11 +278,11 @@ def _run_batch(framework: Framework, job: dict, buf) -> list:
             index=k,
             problem=it["problem"],
             executor=it["executor"],
-            options=it["options"],
+            options=(it["options"] or framework.options).with_control(
+                it["deadline"], token
+            ),
             params=it["params"],
             functional=it["functional"],
-            deadline=it["deadline"],
-            cancel_token=token,
             key=it["key"],
         ))
     return execute_items(items, framework)
@@ -666,7 +666,9 @@ class ProcessPoolBackend:
         tokens = []
         for item in items:
             opts = item.options
+            deadline = token = None
             if opts is not None:
+                deadline, token = opts.deadline, opts.cancel_token
                 opts = opts.replace(deadline=None, cancel_token=None)
             shipped.append({
                 "problem": item.problem,
@@ -674,11 +676,11 @@ class ProcessPoolBackend:
                 "options": opts,
                 "params": item.params,
                 "functional": item.functional,
-                "deadline": item.deadline,
+                "deadline": deadline,
                 "key": item.key,
                 "slot": None,
             })
-            tokens.append((item.cancel_token, None))
+            tokens.append((token, None))
         job = {"kind": "batch", "items": shipped}
         outcome = self._dispatch(job, affinity, tokens)
         if outcome is None:

@@ -763,16 +763,13 @@ class SolveService:
         items = []
         for k, (pending, _) in enumerate(run):
             request = pending.request
-            options = self._control_options(request, pending)
             items.append(BatchItem(
                 index=k,
                 problem=request.problem,
                 executor=pending.effective_executor,
-                options=options,
+                options=self._control_options(request, pending),
                 params=request.params,
                 functional=pending.effective_functional,
-                deadline=options.deadline,
-                cancel_token=options.cancel_token,
                 key=self._batch_key_of(pending),
             ))
         affinity = (

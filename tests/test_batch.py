@@ -256,7 +256,8 @@ def test_deadline_expiry_inside_batch(fw):
     items = [
         BatchItem(
             index=k, problem=p,
-            deadline=time.monotonic() - 1 if k == 1 else None,
+            options=ExecOptions(deadline=time.monotonic() - 1)
+            if k == 1 else None,
         )
         for k, p in enumerate(problems)
     ]
@@ -275,12 +276,22 @@ def test_cancelled_token_inside_batch(fw):
     token.cancel()
     items = [
         BatchItem(index=k, problem=p,
-                  cancel_token=token if k == 0 else None)
+                  options=ExecOptions(cancel_token=token) if k == 0 else None)
         for k, p in enumerate(problems)
     ]
     outcomes = execute_items(items, fw)
     assert isinstance(outcomes[0], SolveCancelled)
     assert all(isinstance(outcomes[k], SolveResult) for k in (1, 2))
+
+
+def test_options_deadline_stops_a_stacked_group(fw):
+    """A deadline given only in the items' options stops the stacked sweep."""
+    opts = ExecOptions(deadline=time.monotonic() - 1)
+    items = [BatchItem(index=k, problem=make_levenshtein(24), options=opts)
+             for k in range(3)]
+    assert BatchPlanner().plan(items)[0].stackable()
+    outcomes = execute_items(items, fw)
+    assert all(isinstance(o, ServiceTimeout) for o in outcomes), outcomes
 
 
 def test_batch_execute_fault_degrades_to_per_instance(fw, fresh_metrics):
