@@ -15,7 +15,9 @@ This module does the rest, the same way for every script:
 
 Every script writes ``benchmarks/results/<name>.json`` and ``<name>.txt``
 (``<name>`` is the file name without ``bench_``); a script that sets
-``ROOT_JSON`` also writes the JSON at the repo root. The schema::
+``ROOT_JSON`` also writes the JSON at the repo root, on full-size runs only,
+so a ``--quick`` run never overwrites a committed full-size record. The
+schema::
 
     {"benchmark": str, "quick": bool, "reps": int,
      "host": {"affinity_cores": int, "python": str, "numpy": str,
@@ -119,7 +121,8 @@ def run(module: str, argv: list[str] | None = None) -> int:
     ``measure(quick, reps) -> dict`` (its fields, including ``workloads``),
     ``report(r) -> list[str]`` (its lines under the timing table),
     ``_gate(r) -> str | None`` (the first failed acceptance condition) and
-    optionally ``ROOT_JSON``. Pytest passes ``argv=[]``.
+    optionally ``ROOT_JSON`` (written on full-size runs only). Pytest passes
+    ``argv=[]``.
     """
     bench = sys.modules[module]
     parser = argparse.ArgumentParser(description=bench.__doc__.splitlines()[0])
@@ -143,7 +146,7 @@ def run(module: str, argv: list[str] | None = None) -> int:
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
     (RESULTS_DIR / f"{name}.json").write_text(dump)
-    if getattr(bench, "ROOT_JSON", None):
+    if getattr(bench, "ROOT_JSON", None) and not args.quick:
         (REPO_ROOT / bench.ROOT_JSON).write_text(dump)
     failure = bench._gate(r)
     if failure is not None:

@@ -127,13 +127,15 @@ class Framework:
         problem: LDDPProblem,
         params: HeteroParams | None = None,
     ) -> float:
-        """Heterogeneous makespan in seconds via the closed-form scan.
+        """Heterogeneous makespan in seconds, without a timeline.
 
-        Several times faster than :meth:`estimate` and provably identical
-        (see :mod:`repro.exec.fast_estimate`); returns only the makespan —
-        no timeline, ledger or stats.
+        The hetero executor's own task graph replayed into a makespan-only
+        sink (:func:`repro.exec.hetero.fast_hetero_makespan`): equal to
+        ``estimate(problem).simulated_time`` by construction and faster,
+        since it keeps no task records, spans, ledger or stats. A device
+        or transfer fault raises instead of degrading to CPU-only.
         """
-        from ..exec.fast_estimate import fast_hetero_makespan
+        from ..exec.hetero import fast_hetero_makespan
 
         return fast_hetero_makespan(problem, self.platform, params, self.options)
 

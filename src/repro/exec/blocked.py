@@ -32,6 +32,7 @@ from ..core.cellfunc import EvalContext, gather_neighbors
 from ..core.problem import LDDPProblem
 from ..core.schedule import schedule_for
 from ..errors import ExecutionError
+from ..machine.platform import Platform
 from ..obs import get_metrics, get_tracer
 from ..patterns.registry import strategy_for
 from ..sim.engine import Engine
@@ -44,7 +45,12 @@ from .base import (
     register_executor,
 )
 
-__all__ = ["BlockedCPUExecutor", "evaluate_block", "evaluate_skewed_block"]
+__all__ = [
+    "BlockedCPUExecutor",
+    "evaluate_block",
+    "evaluate_skewed_block",
+    "fast_blocked_makespan",
+]
 
 
 @lru_cache(maxsize=512)
@@ -145,9 +151,8 @@ def _wave_costs(problem: LDDPProblem, platform, options: ExecOptions,
 
     Each wave is one LPT-packed :meth:`~repro.machine.cpu.CPUModel.
     blocked_time` task on the single ``cpu`` resource. The executor's
-    timeline and :func:`~repro.exec.fast_estimate.fast_blocked_makespan`
-    are both built from this one list, so the price equals the timeline's
-    makespan exactly.
+    timeline and :func:`fast_blocked_makespan` are both built from this one
+    list, so the price equals the timeline's makespan exactly.
     """
     work = problem.cpu_work * strategy.cpu_overhead
     cpu = platform.cpu
@@ -160,6 +165,29 @@ def _wave_costs(problem: LDDPProblem, platform, options: ExecOptions,
                 (t, len(blocks), cpu.blocked_time([b.cells for b in blocks], work))
             )
     return costs
+
+
+def fast_blocked_makespan(
+    problem: LDDPProblem,
+    platform: Platform,
+    options: ExecOptions | None = None,
+    block_size: int | None = None,
+) -> float:
+    """Simulated seconds for a ``cpu-blocked`` run, no task graph.
+
+    The sum of :func:`_wave_costs`, whose DES serializes one LPT-packed
+    :meth:`~repro.machine.cpu.CPUModel.blocked_time` task per block
+    wavefront on a single ``cpu`` resource, so the two agree exactly
+    (``tests/test_blocking.py`` asserts ``==``) — including the
+    ramp-up/ramp-down waves where only a few tiles exist and most cores
+    idle behind the barrier, which a per-cell split model such as
+    :func:`~repro.exec.hetero.fast_hetero_makespan` cannot see.
+    """
+    options = options or ExecOptions()
+    block = block_size if block_size is not None else options.block_size
+    strategy, grid = _blocked_grid(problem, options, block)
+    costs = _wave_costs(problem, platform, options, strategy, grid)
+    return sum(seconds for _, _, seconds in costs)
 
 
 class BlockedCPUExecutor(Executor):

@@ -21,7 +21,21 @@ from ..errors import TransferError
 from ..faults import check_fault
 from ..types import TransferKind
 
-__all__ = ["TransferModel"]
+__all__ = ["TransferModel", "staging_kind"]
+
+
+def staging_kind(kind: TransferKind, pipeline: bool) -> TransferKind:
+    """The staging kind a boundary copy of declared ``kind`` runs with.
+
+    A streamed copy stays on the copy engine only when pipelining is on;
+    otherwise it becomes a host-blocking pinned exchange, like a pinned one.
+    Pageable stays pageable.
+    """
+    if kind is TransferKind.STREAMED and pipeline:
+        return kind
+    if kind is TransferKind.PAGEABLE:
+        return kind
+    return TransferKind.PINNED
 
 
 @dataclass(frozen=True)

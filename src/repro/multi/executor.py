@@ -27,6 +27,7 @@ from ..exec.base import (
     wavefront_contiguous,
 )
 from ..exec.hetero import _HALO_DEPTH
+from ..machine.transfer import staging_kind
 from ..memory.buffers import TransferLedger
 from ..obs import get_metrics, get_tracer
 from ..patterns.registry import strategy_for
@@ -274,7 +275,7 @@ class MultiHeteroExecutor(Executor):
                 # -- boundary copies between adjacent non-empty segments ----
                 active = [d for d in range(plat.num_devices) if iter_tids[d] is not None]
                 for left, right in zip(active, active[1:]):
-                    for spec in strategy.split_transfers(a.t):
+                    for spec in strategy.split_transfers():
                         nbytes = spec.cells * itemsize
                         toward_right = spec.direction is TransferDirection.H2D
                         src = left if toward_right else right
@@ -349,20 +350,17 @@ class MultiHeteroExecutor(Executor):
         self, engine, plat, ledger, dev_extra, iter_tids, src, dst, spec, nbytes, t
     ) -> None:
         producer = iter_tids[src]
-        streamed = spec.kind is TransferKind.STREAMED and self.options.pipeline
         if src == 0 or dst == 0:
             acc = (src if src > 0 else dst) - 1
-            kind = (
-                TransferKind.PINNED
-                if spec.kind in (TransferKind.PINNED, TransferKind.STREAMED)
-                else spec.kind
-            )
+            kind = staging_kind(spec.kind, self.options.pipeline)
+            streamed = kind is TransferKind.STREAMED
             duration = plat.links[acc].time(nbytes, kind)
             resource = f"copy{acc}" if streamed else "bus"
         else:
+            kind = staging_kind(spec.kind, pipeline=False)
+            streamed = False
             duration = plat.peer_time(src - 1, dst - 1, nbytes)
             resource = "bus"  # staged through the host (or host-arbitrated P2P)
-            streamed = False
         with get_tracer().span(
             "transfer", cat="transfer", direction=spec.direction.value,
             label="boundary", t=t,
@@ -384,9 +382,5 @@ class MultiHeteroExecutor(Executor):
             if src != 0 and dst != 0:
                 dev_extra[0].append(tid)  # host staging blocks the CPU too
         ledger.record(
-            spec.direction,
-            spec.kind if streamed else TransferKind.PINNED,
-            cells=spec.cells,
-            nbytes=nbytes,
-            iteration=t,
+            spec.direction, kind, cells=spec.cells, nbytes=nbytes, iteration=t,
         )

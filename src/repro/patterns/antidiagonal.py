@@ -51,7 +51,7 @@ class AntiDiagonalStrategy(PatternStrategy):
         hi = min(self.schedule.rows - 1, t)
         return max(0, min(hi + 1, t_share) - lo)
 
-    def split_transfers(self, t: int) -> tuple[TransferSpec, ...]:
+    def split_transfers(self) -> tuple[TransferSpec, ...]:
         # Two boundary cells feed the GPU's next iterations: the CPU strip's
         # last cell of this diagonal (read as NW at t+2, N at t+1).
         return (

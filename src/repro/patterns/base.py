@@ -13,7 +13,8 @@ from ..core.partition import (
 )
 from ..core.schedule import WavefrontSchedule
 from ..errors import PartitionError
-from ..types import ContributingSet, Pattern
+from ..machine.transfer import staging_kind
+from ..types import ContributingSet, Pattern, TransferKind
 
 __all__ = ["PatternStrategy"]
 
@@ -51,8 +52,12 @@ class PatternStrategy(ABC):
         """The phase layout over ``[0, num_iterations)``."""
 
     @abstractmethod
-    def split_transfers(self, t: int) -> tuple[TransferSpec, ...]:
-        """Boundary copies issued after split iteration ``t``."""
+    def split_transfers(self) -> tuple[TransferSpec, ...]:
+        """Boundary copies issued after every split iteration.
+
+        The recipe is a per-strategy constant: which cells cross the CPU/GPU
+        cut depends on the pattern and contributing set, not on ``t``.
+        """
 
     # -- common machinery -----------------------------------------------------
 
@@ -76,18 +81,18 @@ class PatternStrategy(ABC):
         params = self.clamp_params(params)
         phases = self.phase_bounds(params)
         self._check_phases(phases)
+        widths = self.schedule.widths().tolist()
+        recipe = self.split_transfers()
         assignments: list[IterationAssignment] = []
         for ph in phases:
             for t in range(ph.start, ph.stop):
-                width = self.schedule.width(t)
+                width = widths[t]
                 if ph.name == "cpu-low":
                     cpu, gpu = width, 0
                 else:  # "split"
                     cpu = self.split_cpu_cells(t, width, params.t_share)
                     gpu = width - cpu
-                transfers = (
-                    self.split_transfers(t) if (cpu > 0 and gpu > 0) else ()
-                )
+                transfers = recipe if (cpu > 0 and gpu > 0) else ()
                 assignments.append(
                     IterationAssignment(
                         t=t, phase=ph.name, cpu_cells=cpu, gpu_cells=gpu,
@@ -121,18 +126,11 @@ class PatternStrategy(ABC):
         analytic tuner to position ``t_switch``/``t_share`` for two-way
         patterns.
         """
-        from ..types import TransferKind
-
         total = 0.0
-        for spec in self.split_transfers(max(0, self.schedule.num_iterations // 2)):
-            if spec.kind is TransferKind.STREAMED and pipeline:
-                continue
-            kind = (
-                TransferKind.PINNED
-                if spec.kind in (TransferKind.PINNED, TransferKind.STREAMED)
-                else spec.kind
-            )
-            total += platform.transfer.time(spec.cells * itemsize, kind)
+        for spec in self.split_transfers():
+            kind = staging_kind(spec.kind, pipeline)
+            if kind is not TransferKind.STREAMED:
+                total += platform.transfer.time(spec.cells * itemsize, kind)
         return total
 
     # -- description -----------------------------------------------------------

@@ -50,7 +50,7 @@ class HorizontalStrategy(PatternStrategy):
     def phase_bounds(self, params: HeteroParams) -> list[Phase]:
         return [Phase("split", 0, self.schedule.num_iterations)]
 
-    def split_transfers(self, t: int) -> tuple[TransferSpec, ...]:
+    def split_transfers(self) -> tuple[TransferSpec, ...]:
         kind = TransferKind.PINNED if self._two_way else TransferKind.STREAMED
         out: list[TransferSpec] = []
         if self._needs_h2d:

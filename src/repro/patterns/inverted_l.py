@@ -39,7 +39,7 @@ class InvertedLStrategy(PatternStrategy):
         cut = total - params.t_switch
         return [Phase("split", 0, cut), Phase("cpu-low", cut, total)]
 
-    def split_transfers(self, t: int) -> tuple[TransferSpec, ...]:
+    def split_transfers(self) -> tuple[TransferSpec, ...]:
         # CPU's boundary cell (position t_share-1) reads ring t's cell at
         # position t_share, which the GPU computed: one cell, device-to-host.
         return (

@@ -58,7 +58,7 @@ class KnightMoveStrategy(PatternStrategy):
         i_min_cpu = (t - t_share) // 2 + 1 if t >= t_share else lo
         return max(0, hi - max(lo, i_min_cpu) + 1)
 
-    def split_transfers(self, t: int) -> tuple[TransferSpec, ...]:
+    def split_transfers(self) -> tuple[TransferSpec, ...]:
         return (
             # W (consumed at t+1) and NW (consumed at t+3) of the GPU edge.
             TransferSpec(TransferDirection.H2D, 2, TransferKind.PINNED),

@@ -14,13 +14,14 @@ including the overlap that CUDA streams buy (paper Sec. IV-C1).
 """
 
 from .event import Task
-from .engine import Engine
+from .engine import Engine, Makespan
 from .stream import Stream
 from .timeline import Timeline, TaskRecord
 
 __all__ = [
     "Task",
     "Engine",
+    "Makespan",
     "Stream",
     "Timeline",
     "TaskRecord",

@@ -8,7 +8,8 @@ start/end times:
     start(T) = max( available(resource(T)), max over deps d of end(d) )
 
 This mirrors how a CUDA runtime resolves stream/event dependencies and is
-exact for FIFO resources.
+exact for FIFO resources. :class:`Makespan` applies the same rule as tasks
+arrive and keeps only the makespan, for callers that need nothing else.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from ..obs import get_metrics, get_tracer
 from .event import Task
 from .timeline import TaskRecord, Timeline
 
-__all__ = ["Engine"]
+__all__ = ["Engine", "Makespan"]
 
 
 class Engine:
@@ -108,3 +109,34 @@ class Engine:
             )
             last_on[t.resource] = tid
         return Timeline(records)
+
+
+class Makespan:
+    """Makespan-only sink with :meth:`Engine.task`'s signature.
+
+    Resolves each task on submission with the same start rule; the handle
+    returned for use in later ``deps`` is the task's end time, so nothing
+    but per-resource availability and the running makespan is kept.
+    """
+
+    def __init__(self) -> None:
+        self._available: dict[str, float] = {}
+        self.makespan = 0.0
+
+    def task(
+        self,
+        resource: str,
+        duration: float,
+        deps: tuple[float, ...] | list[float] = (),
+        label: str = "",
+        **meta,
+    ) -> float:
+        start = self._available.get(resource, 0.0)
+        for end in deps:
+            if end > start:
+                start = end
+        end = start + duration
+        self._available[resource] = end
+        if end > self.makespan:
+            self.makespan = end
+        return end

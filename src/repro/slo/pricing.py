@@ -1,10 +1,12 @@
-"""Request pricing: closed-form cost units, calibrated into wall seconds.
+"""Request pricing: simulated cost units, calibrated into wall seconds.
 
-The paper's closed-form makespan scan (:func:`repro.exec.fast_estimate.
-fast_hetero_makespan`, the model behind ``Framework.estimate`` and Table II)
-is the natural pricing function for admission control: it costs microseconds
-per *new* problem geometry and returns a number proportional to the work one
-solve performs. Two refinements turn that into a wall-clock predictor:
+The paper's timing model is the natural pricing function for admission
+control. :func:`repro.exec.hetero.fast_hetero_makespan` replays the hetero
+executor's own task graph (the one behind ``Framework.estimate`` and Table
+II) into a makespan-only sink, so a price is exactly the makespan a solve's
+timeline would show; it costs milliseconds per *new* problem geometry and
+returns a number proportional to the work one solve performs. Two
+refinements turn that into a wall-clock predictor:
 
 * **Price caching by batch key.** Batch-compatible requests (same
   :func:`repro.batch.batch_key` — geometry, dtype, cell code, executor,
@@ -76,8 +78,8 @@ class Pricer:
         the price is served from (and stored into) the LRU, so a fleet of
         batch-compatible requests is priced exactly once. ``executor``
         selects the phase model: ``cpu-blocked`` requests are priced with
-        the barrier blocked scan (whose ramp-phase idle the hetero scan
-        cannot see); everything else uses the heterogeneous scan. The
+        the blocked executor's per-wave costs (whose ramp-phase idle the
+        hetero model cannot see); everything else uses the hetero model. The
         batch key already includes the executor, so the LRU never mixes the
         two models.
 
@@ -137,12 +139,12 @@ class Pricer:
 
             return scan_makespan(problem, self.framework.platform, options)
         if executor == "cpu-blocked":
-            from ..exec.fast_estimate import fast_blocked_makespan
+            from ..exec.blocked import fast_blocked_makespan
 
             return fast_blocked_makespan(
                 problem, self.framework.platform, options
             )
-        from ..exec.fast_estimate import fast_hetero_makespan
+        from ..exec.hetero import fast_hetero_makespan
 
         return fast_hetero_makespan(
             problem, self.framework.platform, params, options

@@ -91,11 +91,11 @@ def autotune(
 def _time(
     executor: HeteroExecutor, problem: LDDPProblem, t_switch: int, t_share: int
 ) -> float:
-    from ..exec.fast_estimate import fast_hetero_makespan
+    from ..exec.hetero import fast_hetero_makespan
 
     params = HeteroParams(t_switch=t_switch, t_share=t_share)
-    # the closed-form scan is exactly equal to the task-graph estimate and
-    # several times faster — tuning sweeps dozens of points
+    # the executor's own task graph without a timeline: exactly the DES
+    # makespan, and cheaper — tuning sweeps dozens of points
     return fast_hetero_makespan(
         problem, executor.platform, params, executor.options
     )

@@ -80,14 +80,11 @@ def balanced_share(
     return min(candidates, key=lambda x: max(cpu_t(x), gpu_t(x)))
 
 
-def _ramp_t_switch(strategy: PatternStrategy, w_star: float, from_end: bool) -> int:
+def _ramp_t_switch(widths: list[int], w_star: float, from_end: bool) -> int:
     """Count iterations (from one end) whose width stays below ``w_star``."""
-    sched = strategy.schedule
-    total = sched.num_iterations
     count = 0
-    for k in range(total):
-        t = total - 1 - k if from_end else k
-        if sched.width(t) > w_star:
+    for w in reversed(widths) if from_end else widths:
+        if w > w_star:
             break
         count += 1
     return count
@@ -107,15 +104,16 @@ def analytic_params(
     w_star = crossover_width(platform, cpu_work, gpu_work, xfer_s)
     sched = strategy.schedule
     total = sched.num_iterations
+    all_widths = sched.widths().tolist()
 
     pattern = sched.pattern
     if pattern in (Pattern.HORIZONTAL, Pattern.VERTICAL):
         t_switch = 0
     elif pattern in (Pattern.INVERTED_L, Pattern.MINVERTED_L):
         # Width only shrinks: the low-work region is the tail.
-        t_switch = min(total, _ramp_t_switch(strategy, w_star, from_end=True))
+        t_switch = min(total, _ramp_t_switch(all_widths, w_star, from_end=True))
     else:  # anti-diagonal, knight-move: symmetric ramps
-        t_switch = min(total // 2, _ramp_t_switch(strategy, w_star, from_end=False))
+        t_switch = min(total // 2, _ramp_t_switch(all_widths, w_star, from_end=False))
 
     # Share against the widest wavefront of the split region; narrower
     # iterations simply cap the CPU prefix at their width.
@@ -125,7 +123,7 @@ def analytic_params(
         split_range = range(0, total)
     else:
         split_range = range(t_switch, total - t_switch)
-    widths = [sched.width(t) for t in split_range]
+    widths = all_widths[split_range.start:split_range.stop]
     w_ref = max(widths, default=0)
     if not w_ref:
         return HeteroParams(t_switch=t_switch, t_share=0)

@@ -71,3 +71,20 @@ def test_run_writes_one_schema_and_sets_the_exit_code(fake_bench, tmp_path,
     fake_bench._gate = lambda r: "too slow"
     assert harness.run("bench_fake", []) == 1
     assert "FAIL: too slow" in capsys.readouterr().err
+
+
+def test_root_json_is_written_by_full_size_runs_only(fake_bench, tmp_path,
+                                                     monkeypatch):
+    monkeypatch.setattr(harness, "REPO_ROOT", tmp_path)
+    fake_bench.ROOT_JSON = "BENCH_fake.json"
+    root = tmp_path / "BENCH_fake.json"
+    root.write_text("committed\n")
+
+    monkeypatch.setenv("REPRO_BENCH_QUICK", "1")
+    assert harness.run("bench_fake", ["--reps", "1"]) == 0
+    assert root.read_text() == "committed\n"
+    assert json.loads((tmp_path / "fake.json").read_text())["quick"]
+
+    monkeypatch.delenv("REPRO_BENCH_QUICK")
+    assert harness.run("bench_fake", ["--reps", "1"]) == 0
+    assert json.loads(root.read_text())["quick"] is False

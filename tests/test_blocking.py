@@ -11,8 +11,8 @@ from repro.core.blocking import (
     grid_for,
 )
 from repro.errors import ExecutionError, ScheduleError
-from repro.exec.blocked import BlockedCPUExecutor
-from repro.exec.fast_estimate import fast_blocked_makespan, fast_hetero_makespan
+from repro.exec.blocked import BlockedCPUExecutor, fast_blocked_makespan
+from repro.exec.hetero import fast_hetero_makespan
 from repro.problems import (
     make_dithering,
     make_fig8_problem,

@@ -90,7 +90,7 @@ class TestHorizontalStrategy:
     def test_case1_left_dep_h2d(self):
         s = HorizontalStrategy(_sched(Pattern.HORIZONTAL), ContributingSet.of("NW", "N"))
         assert s.case == 1
-        specs = s.split_transfers(3)
+        specs = s.split_transfers()
         assert len(specs) == 1
         assert specs[0].direction is TransferDirection.H2D
         assert specs[0].kind is TransferKind.STREAMED
@@ -98,20 +98,20 @@ class TestHorizontalStrategy:
     def test_case1_right_dep_d2h(self):
         s = HorizontalStrategy(_sched(Pattern.HORIZONTAL), ContributingSet.of("N", "NE"))
         assert s.case == 1
-        specs = s.split_transfers(3)
+        specs = s.split_transfers()
         assert len(specs) == 1
         assert specs[0].direction is TransferDirection.D2H
 
     def test_pure_vertical_dep_no_transfer(self):
         s = HorizontalStrategy(_sched(Pattern.HORIZONTAL), ContributingSet.of("N"))
-        assert s.split_transfers(0) == ()
+        assert s.split_transfers() == ()
 
     def test_case2_two_way_pinned(self):
         s = HorizontalStrategy(
             _sched(Pattern.HORIZONTAL), ContributingSet.of("NW", "N", "NE")
         )
         assert s.case == 2
-        specs = s.split_transfers(1)
+        specs = s.split_transfers()
         assert {ts.direction for ts in specs} == {
             TransferDirection.H2D,
             TransferDirection.D2H,
@@ -121,12 +121,12 @@ class TestHorizontalStrategy:
     def test_vertical_set_transposed_for_directions(self):
         # {W, NW} as columns behaves like {N, NW} as rows: one-way H2D.
         s = VerticalStrategy(_sched(Pattern.VERTICAL), ContributingSet.of("W", "NW"))
-        specs = s.split_transfers(0)
+        specs = s.split_transfers()
         assert len(specs) == 1 and specs[0].direction is TransferDirection.H2D
 
     def test_vertical_w_only_no_transfer(self):
         s = VerticalStrategy(_sched(Pattern.VERTICAL), ContributingSet.of("W"))
-        assert s.split_transfers(0) == ()
+        assert s.split_transfers() == ()
 
 
 class TestInvertedLStrategy:
@@ -139,7 +139,7 @@ class TestInvertedLStrategy:
         assert plan.phases[1].length == 3
 
     def test_one_way_single_cell(self):
-        specs = self.s.split_transfers(0)
+        specs = self.s.split_transfers()
         assert len(specs) == 1
         assert specs[0].cells == 1
         assert specs[0].direction is TransferDirection.D2H
@@ -153,7 +153,7 @@ class TestInvertedLStrategy:
         s = MInvertedLStrategy(_sched(Pattern.MINVERTED_L), ContributingSet.of("NE"))
         plan = s.plan(HeteroParams(t_switch=2, t_share=3))
         assert [p.name for p in plan.phases] == ["split", "cpu-low"]
-        assert s.split_transfers(0)[0].direction is TransferDirection.D2H
+        assert s.split_transfers()[0].direction is TransferDirection.D2H
 
 
 class TestKnightMoveStrategy:
@@ -167,7 +167,7 @@ class TestKnightMoveStrategy:
         assert [p.name for p in plan.phases] == ["cpu-low", "split", "cpu-low"]
 
     def test_two_way_pinned_cell_counts(self):
-        specs = self.s.split_transfers(10)
+        specs = self.s.split_transfers()
         by_dir = {ts.direction: ts for ts in specs}
         assert by_dir[TransferDirection.H2D].cells == 2  # W (t+1) and NW (t+3)
         assert by_dir[TransferDirection.D2H].cells == 1  # NE (t+1)

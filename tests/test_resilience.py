@@ -22,6 +22,7 @@ from repro import (
     FaultPlan,
     FaultRule,
     Framework,
+    HeteroParams,
     LDDPProblem,
     active_faults,
     clear_faults,
@@ -35,7 +36,7 @@ from repro.errors import (
     ServiceTimeout,
     SolveCancelled,
 )
-from repro.exec.fast_estimate import fast_hetero_makespan
+from repro.exec.hetero import fast_hetero_makespan
 from repro.exec.streaming import StreamingSolver
 from repro.faults import check_fault
 from repro.machine.platform import hetero_high
@@ -523,6 +524,14 @@ class TestGpuDegradation:
         with inject_faults("machine.gpu:rate=1.0"):
             with pytest.raises(InjectedFault):
                 Framework(hetero_high()).solve(make_levenshtein(32), executor="gpu")
+
+    def test_fast_estimate_does_not_degrade(self):
+        """Pricing replays the hetero graph without the CPU-only fallback."""
+        with inject_faults("machine.gpu:rate=1.0"):
+            with pytest.raises(InjectedFault):
+                fast_hetero_makespan(
+                    make_levenshtein(32), hetero_high(), HeteroParams(0, 8)
+                )
 
     def test_timeout_is_never_degraded(self):
         """A deadline abort inside hetero must not turn into a CPU rerun."""

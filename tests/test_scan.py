@@ -243,7 +243,7 @@ class TestPricing:
         )
 
     def test_scan_makespan_beats_wavefront_model(self, high):
-        from repro.exec.fast_estimate import fast_hetero_makespan
+        from repro.exec.hetero import fast_hetero_makespan
 
         p = make_prefix_sum(512)
         scan = scan_makespan(p, high)

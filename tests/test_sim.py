@@ -1,9 +1,10 @@
 """Tests for repro.sim: tasks, engine scheduling, streams, timelines."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
-from repro.sim import Engine, Stream, Task
+from repro.sim import Engine, Makespan, Stream, Task
 from repro.sim.tracing import summarize, trace_json
 
 
@@ -91,6 +92,33 @@ class TestEngineScheduling:
         tl = Engine().run()
         assert tl.makespan == 0.0
         assert len(tl) == 0
+
+
+_TASKS = st.lists(
+    st.tuples(
+        st.sampled_from(["cpu", "gpu", "copy", "bus"]),
+        st.floats(min_value=0.0, max_value=1e3, allow_nan=False),
+        st.lists(st.integers(min_value=0, max_value=10**6), max_size=4),
+    ),
+    max_size=60,
+)
+
+
+class TestMakespanSink:
+    """``Makespan`` resolves the same start rule as ``Engine``, on the fly."""
+
+    @given(_TASKS)
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_engine(self, tasks):
+        engine, sink = Engine(), Makespan()
+        ends: list[float] = []
+        for i, (resource, duration, picks) in enumerate(tasks):
+            deps = [p % i for p in picks] if i else []  # backward deps only
+            engine.task(resource, duration, deps=deps, label=f"t{i}")
+            ends.append(sink.task(resource, duration, deps=[ends[d] for d in deps]))
+        timeline = engine.run()
+        assert sink.makespan == timeline.makespan
+        assert ends == [r.end for r in timeline]
 
 
 class TestStream:
