@@ -2,24 +2,29 @@
 
 :class:`~repro.serve.SolveService` owns admission, queueing, caching,
 coalescing and retries; *execution* is delegated to a backend selected by
-:attr:`ServiceConfig.backend <repro.serve.config.ServiceConfig.backend>`:
+:attr:`ServiceConfig.backend <repro.serve.config.ServiceConfig.backend>`.
+Every job a backend receives has one shape, a list of
+:class:`~repro.batch.BatchItem`: ``execute(item)`` runs a solo request and
+raises its exception, ``execute_batch(items)`` runs a coalesced set and
+returns one result or exception per item. A one-item list is a plain
+solve; several are one :func:`~repro.batch.execute_items` group.
 
-* :class:`ThreadBackend` (``"thread"``) — the PR 2-6 behaviour: the solve
-  runs on the calling service thread, inside this process. One GIL; best
-  for cache-heavy or I/O-light traffic.
+* :class:`ThreadBackend` (``"thread"``) — the job runs on the calling
+  service thread, inside this process. One GIL; best for cache-heavy or
+  I/O-light traffic.
 * :class:`ProcessPoolBackend` (``"process"``) — a pool of **spawned** worker
-  processes, one per service dispatch thread. Each dispatch ships the job
-  (pre-pickled, so unpicklable problems are detected up front and fall back
-  to an in-parent run) to a worker chosen by **consistent-hashing the
-  request's batch key** — batch-compatible requests land on the same worker,
-  whose :class:`~repro.kernels.KernelPlan` cache stays hot for exactly that
-  shape. Result tables come back **zero-copy** through
-  :mod:`repro.serve.shm`: the worker packs them into one shared-memory
-  segment and replies with a small descriptor; the parent materializes
-  read-only NumPy views over the same bytes.
+  processes, one per service dispatch thread. Each job crosses the process
+  boundary as the same item list (pre-pickled, so unpicklable problems are
+  detected up front and fall back to an in-parent run) to a worker chosen by
+  **consistent-hashing the first item's batch key** — batch-compatible
+  requests land on the same worker, whose :class:`~repro.kernels.KernelPlan`
+  cache stays hot for exactly that shape. Result tables come back
+  **zero-copy** through :mod:`repro.serve.shm`: the worker packs them into
+  one shared-memory segment and replies with a small descriptor; the parent
+  materializes read-only NumPy views over the same bytes.
 
-Spawn safety (``"spawn"`` is the only sane start method here — the parent
-is multi-threaded, so ``fork`` would clone held locks): each worker runs a
+Spawn safety (``"spawn"`` is the only start method: the parent is
+multi-threaded, so ``fork`` would clone held locks): each worker runs a
 deterministic initializer from a picklable :class:`_WorkerSpec` that
 re-registers every picklable custom executor and re-installs the active
 fault plan (rules travel as plain tuples; each worker seeds its RNG with
@@ -32,8 +37,9 @@ Cross-process control plane:
   ``CLOCK_MONOTONIC`` is system-wide on every supported platform, so the
   worker enforces exactly the deadline the parent computed;
 * **cancellation** uses a per-worker *cancel slab*: one shared-memory byte
-  per in-flight job. The parent's dispatch thread polls the caller's
-  :class:`~repro.cancel.CancelToken` and flips the slot; the worker's
+  per in-flight item, seeded from the item's
+  :class:`~repro.cancel.CancelToken` at dispatch. The parent's dispatch
+  thread then polls the token and flips the slot; the worker's
   :class:`_SlabCancelToken` reads it at every wavefront boundary — the
   same cooperative abort latency as the thread backend;
 * **worker death** is detected by the waiting dispatch thread, which
@@ -58,6 +64,7 @@ import multiprocessing as mp
 from multiprocessing import shared_memory
 
 from ..batch import BatchItem, execute_items
+from ..batch.executor import _solo_outcome
 from ..cancel import CancelToken
 from ..core.framework import Framework
 from ..errors import ExecutionError
@@ -69,57 +76,72 @@ from .shm import export_result, materialize_result
 __all__ = ["ThreadBackend", "ProcessPoolBackend", "make_backend"]
 
 _POLL = 0.05  # parent-side cancel/death poll interval (s)
-_SLAB_SLOTS = 128  # concurrent cancellable jobs per worker
+_SLAB_SLOTS = 128  # concurrent cancellable items per worker
+# The parent is multi-threaded, so ``fork`` would clone held locks.
+_SPAWN = mp.get_context("spawn")
 
 
-def make_backend(config, framework: Framework, worker_count):
-    """Build the backend for ``config`` (see :mod:`repro.serve.config`).
-
-    ``worker_count`` is a zero-arg callable reporting the service's dispatch
-    concurrency — the thread backend has no workers of its own to count.
-    """
+def make_backend(config, framework: Framework):
+    """Build the backend for ``config`` (see :mod:`repro.serve.config`)."""
     if config.backend == "process":
-        return ProcessPoolBackend(
-            framework,
-            workers=config.workers,
-            start_method=config.start_method,
-        )
-    return ThreadBackend(framework, worker_count)
+        return ProcessPoolBackend(framework, workers=config.workers)
+    return ThreadBackend(framework)
+
+
+def _run_items(items: list[BatchItem], framework: Framework) -> list:
+    """One outcome per item: a lone item is a plain solve, several a group."""
+    if len(items) == 1:
+        return [_solo_outcome(items[0], framework)]
+    return execute_items(items, framework)
+
+
+class _Backend:
+    """The backend interface: every job is a list of :class:`BatchItem`.
+
+    ``execute`` and ``execute_batch`` both call the subclass's ``_run``,
+    never each other, so each public call is exactly one dispatch.
+    """
+
+    kind = ""
+
+    def execute(self, item: BatchItem) -> SolveResult:
+        """Run one item; raises the exception that stopped it."""
+        outcome = self._run([item])[0]
+        if isinstance(outcome, BaseException):
+            raise outcome
+        return outcome
+
+    def execute_batch(self, items: list[BatchItem]) -> list:
+        """Run a batch-compatible set; one result or exception per item."""
+        return self._run(items)
+
+    def resize(self, target: int) -> None:
+        pass
+
+    def stats(self) -> dict:
+        return {"kind": self.kind}
+
+    def close(self) -> None:
+        pass
 
 
 # -- thread backend ------------------------------------------------------------
 
 
-class ThreadBackend:
-    """Execute on the calling service thread, in-process (the default)."""
+class ThreadBackend(_Backend):
+    """Execute on the calling service thread, in-process (the default).
+
+    The dispatch threads *are* the pool, so ``resize`` has nothing to do
+    and ``stats`` leaves the worker count to the service.
+    """
 
     kind = "thread"
 
-    def __init__(self, framework: Framework, worker_count=None) -> None:
+    def __init__(self, framework: Framework) -> None:
         self.framework = framework
-        self._worker_count = worker_count or (lambda: 0)
 
-    def execute(
-        self, *, problem, executor, params, options, functional,
-        affinity=None,
-    ) -> SolveResult:
-        run = self.framework.solve if functional else self.framework.estimate
-        return run(problem, executor=executor, params=params, options=options)
-
-    def execute_batch(self, items: list[BatchItem], affinity=None) -> list:
-        return execute_items(items, self.framework)
-
-    def worker_count(self) -> int:
-        return self._worker_count()
-
-    def resize(self, target: int) -> None:  # dispatch threads ARE the pool
-        pass
-
-    def stats(self) -> dict:
-        return {"kind": self.kind, "workers": self._worker_count()}
-
-    def close(self) -> None:
-        pass
+    def _run(self, items: list[BatchItem]) -> list:
+        return _run_items(items, self.framework)
 
 
 # -- consistent-hash ring ------------------------------------------------------
@@ -207,7 +229,6 @@ class _WorkerSpec:
     executors: dict  # name -> Executor subclass, beyond the builtins
     fault_rules: tuple  # (site, nth, rate, latency, message) per rule
     slab_name: str
-    slab_slots: int
 
 
 def _snapshot_executors() -> dict:
@@ -253,23 +274,10 @@ def _worker_init(spec: _WorkerSpec) -> Framework:
     return Framework(spec.platform, spec.options)
 
 
-def _run_solve(framework: Framework, job: dict, buf) -> SolveResult:
-    token = (
-        _SlabCancelToken(buf, job["slot"]) if job["slot"] is not None else None
-    )
-    options = (job["options"] or framework.options).with_control(
-        job["deadline"], token
-    )
-    run = framework.solve if job["functional"] else framework.estimate
-    return run(
-        job["problem"], executor=job["executor"], params=job["params"],
-        options=options,
-    )
-
-
-def _run_batch(framework: Framework, job: dict, buf) -> list:
+def _run_job(framework: Framework, job: list, buf) -> list:
+    """Rebuild the shipped items around their slab tokens and run them."""
     items = []
-    for k, it in enumerate(job["items"]):
+    for k, it in enumerate(job):
         token = (
             _SlabCancelToken(buf, it["slot"])
             if it["slot"] is not None else None
@@ -285,7 +293,7 @@ def _run_batch(framework: Framework, job: dict, buf) -> list:
             functional=it["functional"],
             key=it["key"],
         ))
-    return execute_items(items, framework)
+    return _run_items(items, framework)
 
 
 def _picklable_exc(exc: BaseException) -> BaseException:
@@ -316,23 +324,18 @@ def _worker_main(spec: _WorkerSpec, inbox, outbox) -> None:
                 return
             ticket, job = pickle.loads(payload)
             try:
-                if job["kind"] == "batch":
-                    outcomes = _run_batch(framework, job, buf)
-                    packed = []
-                    for out in outcomes:
-                        if isinstance(out, SolveResult):
-                            packed.append(("ok",) + export_result(out))
-                        else:
-                            packed.append(("err", _picklable_exc(out), None))
-                    batched += len(packed)
-                    reply = (ticket, "batch", packed)
-                else:
-                    result = _run_solve(framework, job, buf)
-                    reply = (ticket, "ok") + export_result(result)
-                jobs += 1
+                entries = [
+                    ("ok",) + export_result(out)
+                    if isinstance(out, SolveResult)
+                    else ("err", _picklable_exc(out), None)
+                    for out in _run_job(framework, job, buf)
+                ]
             except BaseException as exc:  # noqa: BLE001 - shipped to parent
-                failures += 1
-                reply = (ticket, "err", _picklable_exc(exc))
+                entries = [("err", _picklable_exc(exc), None)] * len(job)
+            jobs += 1
+            failures += sum(1 for entry in entries if entry[0] == "err")
+            if len(job) > 1:
+                batched += len(job)
             health = {
                 "worker_id": spec.worker_id,
                 "pid": os.getpid(),
@@ -341,7 +344,7 @@ def _worker_main(spec: _WorkerSpec, inbox, outbox) -> None:
                 "batched": batched,
                 "metrics": get_metrics().snapshot(),
             }
-            outbox.send((reply, health))
+            outbox.send(((ticket, entries), health))
     finally:
         del buf
         slab.close()
@@ -355,12 +358,11 @@ def _worker_main(spec: _WorkerSpec, inbox, outbox) -> None:
 
 
 class _Inflight:
-    __slots__ = ("event", "status", "payload")
+    __slots__ = ("event", "entries")
 
     def __init__(self) -> None:
         self.event = threading.Event()
-        self.status: str | None = None
-        self.payload = None
+        self.entries: list | None = None  # one (status, a, b) per item
 
 
 class _Worker:
@@ -380,20 +382,13 @@ class _Worker:
         self.health: dict = {"pid": process.pid, "jobs": 0, "failures": 0}
 
 
-class ProcessPoolBackend:
+class ProcessPoolBackend(_Backend):
     """Spawned worker-process pool with shared-memory result transport."""
 
     kind = "process"
 
-    def __init__(
-        self,
-        framework: Framework,
-        *,
-        workers: int = 4,
-        start_method: str = "spawn",
-    ) -> None:
+    def __init__(self, framework: Framework, *, workers: int = 4) -> None:
         self.framework = framework
-        self._ctx = mp.get_context(start_method)
         self._lock = threading.Lock()
         self._workers: dict[int, _Worker] = {}
         self._retired: list[_Worker] = []
@@ -440,11 +435,10 @@ class ProcessPoolBackend:
             executors=_snapshot_executors(),
             fault_rules=_snapshot_faults(),
             slab_name=slab.name,
-            slab_slots=_SLAB_SLOTS,
         )
-        inbox = self._ctx.Queue()
-        reader, writer = self._ctx.Pipe(duplex=False)
-        process = self._ctx.Process(
+        inbox = _SPAWN.Queue()
+        reader, writer = _SPAWN.Pipe(duplex=False)
+        process = _SPAWN.Process(
             target=_worker_main,
             args=(spec, inbox, writer),
             name=f"solve-backend-{wid}",
@@ -489,45 +483,44 @@ class ProcessPoolBackend:
                     except OSError:
                         pass
                     continue
-                (ticket, status, *payload), health = msg
+                (ticket, entries), health = msg
                 with self._lock:
                     worker = self._workers.get(health["worker_id"])
                     if worker is not None:
                         worker.health = health
                     fl = self._inflight.get(ticket)
                 if fl is not None:
-                    fl.status = status
-                    fl.payload = payload
+                    fl.entries = entries
                     fl.event.set()
 
-    def _pick(self, affinity: str | None) -> _Worker:
+    def _pick(self, key: str | None) -> _Worker:
+        """The worker ``key`` hashes to; the least-loaded one for no key."""
         with self._lock:
             if self._closed or not self._workers:
                 raise ExecutionError("process backend is closed")
-            if affinity is not None:
-                worker = self._workers.get(self._ring.lookup(affinity))
-                if worker is None:  # ring mid-rebuild; fall through
-                    worker = min(
-                        self._workers.values(), key=lambda w: w.pending
-                    )
-            else:
+            worker = (
+                None if key is None
+                else self._workers.get(self._ring.lookup(key))
+            )
+            if worker is None:  # keyless, or the ring is mid-rebuild
                 worker = min(self._workers.values(), key=lambda w: w.pending)
             worker.pending += 1
             return worker
 
-    def _alloc_slot(self, worker: _Worker) -> int | None:
+    def _alloc_slot(self, worker: _Worker, token) -> int | None:
+        """A cancel-slab slot for one item, seeded with its token's state.
+
+        Seeding makes a token fired before dispatch visible to the worker
+        at its first check; ``_await`` mirrors a later fire. ``None`` when
+        every slot is in flight: the item then runs without cross-process
+        cancellation.
+        """
         with self._lock:
             if not worker.free:
                 return None
             slot = worker.free.pop()
-        worker.buf[slot] = 0
+        worker.buf[slot] = int(token is not None and token.cancelled())
         return slot
-
-    def _release_slots(self, worker: _Worker, slots) -> None:
-        with self._lock:
-            for slot in slots:
-                if slot is not None:
-                    worker.free.append(slot)
 
     def _revive(self, worker: _Worker) -> None:
         """Respawn a dead worker in place (same ring id, same slab)."""
@@ -546,163 +539,93 @@ class ProcessPoolBackend:
                 pass
             self._start_worker_locked(worker.id, slab=worker.slab)
 
-    def _await(self, worker: _Worker, ticket: int, watch, slots) -> tuple:
-        """Wait for a reply, propagating cancels and detecting death.
+    def _await(self, worker: _Worker, fl: _Inflight, watch) -> list:
+        """Wait for a job's reply entries, mirroring cancels, watching death.
 
         ``watch`` is ``[(token, slot), ...]`` — cancel tokens mirrored into
         the worker's slab while the job runs.
         """
-        fl = self._inflight[ticket]
-        try:
-            while not fl.event.wait(_POLL):
-                for token, slot in watch:
-                    if (
-                        token is not None and slot is not None
-                        and token.cancelled() and worker.buf[slot] == 0
-                    ):
-                        worker.buf[slot] = 1
-                if not worker.process.is_alive():
-                    # Give the reply a final chance to drain (the worker may
-                    # have replied, then exited) before declaring death.
-                    if fl.event.wait(0.2):
-                        break
-                    self._revive(worker)
-                    raise ExecutionError(
-                        f"solve worker {worker.id} "
-                        f"(pid {worker.health.get('pid')}) died mid-job; "
-                        "respawned — retry"
-                    )
-            return fl.status, fl.payload
-        finally:
-            with self._lock:
-                self._inflight.pop(ticket, None)
-                worker.pending -= 1
-            self._release_slots(worker, slots)
+        while not fl.event.wait(_POLL):
+            for token, slot in watch:
+                if (
+                    token is not None and slot is not None
+                    and token.cancelled() and worker.buf[slot] == 0
+                ):
+                    worker.buf[slot] = 1
+            if not worker.process.is_alive():
+                # Give the reply a final chance to drain (the worker may
+                # have replied, then exited) before declaring death.
+                if fl.event.wait(0.2):
+                    break
+                self._revive(worker)
+                raise ExecutionError(
+                    f"solve worker {worker.id} "
+                    f"(pid {worker.health.get('pid')}) died mid-job; "
+                    "respawned — retry"
+                )
+        return fl.entries
 
-    def _dispatch(self, job: dict, affinity, watch_tokens) -> tuple:
-        """Ship one job; returns ``(status, payload)`` or ``None`` when the
-        job cannot pickle (caller runs it inline)."""
-        worker = self._pick(affinity)
-        slots: list[int | None] = []
+    def _run(self, items: list[BatchItem]) -> list:
+        """Ship ``items`` as one job to the worker their key shards to.
+
+        Deadlines travel as absolute monotonic times, cancel tokens as slab
+        slots. A job that cannot pickle runs on this thread instead. A
+        whole-job failure in the worker (decode, injected fault) comes back
+        as that exception for every item; the service retries them solo.
+        """
+        worker = self._pick(items[0].key)
+        ticket = next(self._tickets)
+        watch: list[tuple] = []
+        payload = None
         try:
-            if job["kind"] == "batch":
-                for it, (token, _) in zip(job["items"], watch_tokens):
-                    slot = self._alloc_slot(worker)
-                    it["slot"] = slot
-                    slots.append(slot)
-                watch = [
-                    (token, slot)
-                    for (token, _), slot in zip(watch_tokens, slots)
-                ]
-            else:
-                slot = self._alloc_slot(worker)
-                job["slot"] = slot
-                slots = [slot]
-                watch = [(watch_tokens[0][0], slot)]
-            ticket = next(self._tickets)
+            job = []
+            for item in items:
+                options = item.options
+                deadline = token = None
+                if options is not None:
+                    deadline, token = options.deadline, options.cancel_token
+                    options = options.replace(deadline=None, cancel_token=None)
+                slot = self._alloc_slot(worker, token)
+                watch.append((token, slot))
+                job.append({
+                    "problem": item.problem,
+                    "executor": item.executor,
+                    "options": options,
+                    "params": item.params,
+                    "functional": item.functional,
+                    "deadline": deadline,  # absolute monotonic: system-wide
+                    "key": item.key,
+                    "slot": slot,
+                })
             try:
                 payload = pickle.dumps(
                     (ticket, job), protocol=pickle.HIGHEST_PROTOCOL
                 )
-            except Exception:
-                self._inline += 1
-                get_metrics().counter("serve.backend.inline").inc()
-                self._release_slots(worker, slots)
-                with self._lock:
-                    worker.pending -= 1
-                return None
-            with self._lock:
-                self._inflight[ticket] = _Inflight()
-            get_metrics().counter("serve.backend.dispatched").inc()
-            worker.inbox.put(payload)
-        except ExecutionError:
-            raise
-        except Exception:
-            self._release_slots(worker, slots)
-            with self._lock:
-                worker.pending -= 1
-            raise
-        return self._await(worker, ticket, watch, slots)
-
-    # -- the backend interface -------------------------------------------------
-
-    def execute(
-        self, *, problem, executor, params, options, functional,
-        affinity=None,
-    ) -> SolveResult:
-        deadline = options.deadline if options is not None else None
-        token = options.cancel_token if options is not None else None
-        shipped = (
-            None if options is None
-            else options.replace(deadline=None, cancel_token=None)
-        )
-        job = {
-            "kind": "solve",
-            "problem": problem,
-            "executor": executor,
-            "params": params,
-            "options": shipped,
-            "functional": functional,
-            "deadline": deadline,  # absolute monotonic: system-wide clock
-            "slot": None,
-        }
-        outcome = self._dispatch(job, affinity, [(token, None)])
-        if outcome is None:  # unpicklable problem: run on this thread
-            run = (
-                self.framework.solve if functional
-                else self.framework.estimate
-            )
-            return run(
-                problem, executor=executor, params=params, options=options
-            )
-        status, payload = outcome
-        if status == "err":
-            raise payload[0]
-        meta, descriptor = payload
-        return materialize_result(meta, descriptor)
-
-    def execute_batch(self, items: list[BatchItem], affinity=None) -> list:
-        shipped = []
-        tokens = []
-        for item in items:
-            opts = item.options
-            deadline = token = None
-            if opts is not None:
-                deadline, token = opts.deadline, opts.cancel_token
-                opts = opts.replace(deadline=None, cancel_token=None)
-            shipped.append({
-                "problem": item.problem,
-                "executor": item.executor,
-                "options": opts,
-                "params": item.params,
-                "functional": item.functional,
-                "deadline": deadline,
-                "key": item.key,
-                "slot": None,
-            })
-            tokens.append((token, None))
-        job = {"kind": "batch", "items": shipped}
-        outcome = self._dispatch(job, affinity, tokens)
-        if outcome is None:
-            return execute_items(items, self.framework)
-        status, payload = outcome
-        if status == "err":
-            # A whole-batch failure (decode, injected worker fault): every
-            # member gets the exception; the service retries them solo.
-            return [payload[0]] * len(items)
-        results = []
-        for entry in payload[0]:
-            if entry[0] == "ok":
-                results.append(materialize_result(entry[1], entry[2]))
+            except Exception:  # noqa: BLE001 - unpicklable: run inline
+                pass
             else:
-                results.append(entry[1])
-        return results
+                with self._lock:
+                    fl = self._inflight[ticket] = _Inflight()
+                get_metrics().counter("serve.backend.dispatched").inc()
+                worker.inbox.put(payload)
+                entries = self._await(worker, fl, watch)
+        finally:
+            with self._lock:
+                self._inflight.pop(ticket, None)
+                worker.pending -= 1
+                worker.free.extend(
+                    slot for _, slot in watch if slot is not None
+                )
+        if payload is None:
+            self._inline += 1
+            get_metrics().counter("serve.backend.inline").inc()
+            return _run_items(items, self.framework)
+        return [
+            materialize_result(a, b) if status == "ok" else a
+            for status, a, b in entries
+        ]
 
     # -- lifecycle / introspection ---------------------------------------------
-
-    def worker_count(self) -> int:
-        with self._lock:
-            return len(self._workers)
 
     def resize(self, target: int) -> None:
         """Grow or shrink the pool to ``target`` processes.

@@ -83,11 +83,6 @@ class ServiceConfig:
     slo:
         Optional :class:`~repro.slo.SLOPolicy` enabling the policy brain
         (admission, EDF, quotas, autoscaling).
-    start_method:
-        :mod:`multiprocessing` start method for the process backend.
-        ``"spawn"`` (the default) is the safe choice — the service parent
-        is multi-threaded, which makes ``fork`` hazardous — and is what the
-        spawn-safe worker initializer is tested against.
     """
 
     backend: str = "thread"
@@ -102,7 +97,6 @@ class ServiceConfig:
     coalesce_window: float = 0.0
     max_batch: int = 16
     slo: "SLOPolicy | None" = None
-    start_method: str = "spawn"
 
     def __post_init__(self) -> None:
         if self.backend not in BACKENDS:
@@ -141,11 +135,6 @@ class ServiceConfig:
             and self.options.delta
         ):
             raise ValueError(DELTA_NEEDS_THREADS)
-        if self.start_method not in ("spawn", "forkserver", "fork"):
-            raise ValueError(
-                f"start_method must be spawn/forkserver/fork, got "
-                f"{self.start_method!r}"
-            )
 
     # -- derivation ------------------------------------------------------------
 

@@ -239,9 +239,7 @@ class SolveService:
         self._rng = random.Random()
         self._workers: list[threading.Thread] = []
         self._all_workers: list[threading.Thread] = []
-        self._backend = make_backend(
-            config, self.framework, lambda: len(self._workers)
-        )
+        self._backend = make_backend(config, self.framework)
         self.cache: ResultCache | SegmentIndex | None = None
         if config.cache_size > 0:
             self.cache = (
@@ -317,38 +315,29 @@ class SolveService:
             and request.options.delta
         ):
             raise ValueError(DELTA_NEEDS_THREADS)
+        timeout = (
+            request.timeout if request.timeout is not None
+            else self.default_timeout
+        )
+        pending = PendingSolve(
+            request, None if timeout is None else time.monotonic() + timeout
+        )
         units = None
-        key = _BATCH_KEY_UNSET
         if self.slo is not None:
             # Price outside the lock: batch-key hashing and the closed-form
             # scan are pure, and the LRU makes repeat keys O(1).
-            key = batch_key(
-                request.problem,
-                executor=request.executor,
-                options=request.options or self.framework.options,
-                params=request.params,
-                functional=request.functional,
-            )
-            options = request.options or self.framework.options
+            key = self._batch_key_of(pending)
             delta_fraction = None
-            if (
-                options.delta
-                and request.functional
-                and isinstance(self.cache, ResultCache)
-                and delta_applicable(request.problem, options) is None
-            ):
-                dkey = delta_key(
-                    request.problem, options=options, params=request.params
-                )
-                if dkey is not None and self.cache.has_base(dkey):
-                    # A near-match base is cached: price the request as the
-                    # delta patch it will most likely run, not the full
-                    # solve it avoids. The suffixed LRU key keeps full and
-                    # delta prices for one batch shape apart.
-                    delta_fraction = self.slo.delta_cone_fraction
+            dkey = self._delta_key_of(pending)
+            if dkey is not None and self.cache.has_base(dkey):
+                # A near-match base is cached: price the request as the
+                # delta patch it will most likely run, not the full solve
+                # it avoids. The suffixed LRU key keeps full and delta
+                # prices for one batch shape apart.
+                delta_fraction = self.slo.delta_cone_fraction
             units = self._pricer.units(
                 request.problem,
-                options=options,
+                options=request.options or self.framework.options,
                 params=request.params,
                 key=(
                     key + ":delta"
@@ -367,12 +356,6 @@ class SolveService:
                     f"request queue is full ({self.queue_size} waiting); "
                     "back off and retry"
                 )
-            timeout = (
-                request.timeout if request.timeout is not None
-                else self.default_timeout
-            )
-            deadline = None if timeout is None else time.monotonic() + timeout
-            pending = PendingSolve(request, deadline)
             order = 0.0
             if self.slo is not None:
                 if self._quotas is not None and not self._quotas.admit(
@@ -385,7 +368,6 @@ class SolveService:
                         f"({self.slo.quota_for(request.tenant)!r}); "
                         "back off and retry"
                     )
-                pending._batch_key = key
                 pending._units = units
                 order = self._admit(pending, timeout, units, key, metrics)
             self._seq += 1
@@ -437,14 +419,11 @@ class SolveService:
                 pending.effective_functional = decision.functional
                 pending.downgraded = decision.reason
                 # The down-tiered run coalesces with its own kind, not with
-                # full-fidelity batch-mates: recompute the key.
-                pending._batch_key = batch_key(
-                    request.problem,
-                    executor=decision.executor,
-                    options=request.options or self.framework.options,
-                    params=request.params,
-                    functional=decision.functional,
-                )
+                # full-fidelity batch-mates, and may no longer be a delta
+                # candidate: reset both memos (queue accounting reads the
+                # batch key, so recompute that one now).
+                pending._batch_key = pending._delta_key = _BATCH_KEY_UNSET
+                self._batch_key_of(pending)
                 self._counters["downgraded"] += 1
                 metrics.counter("serve.admission.downgraded").inc()
         self._counters["admitted"] += 1
@@ -740,10 +719,11 @@ class SolveService:
 
         Every member first passes :meth:`_claim`, so a cancelled, expired,
         cached or delta-patched request never pays for execution. A lone
-        survivor runs through :meth:`_attempt`; several run as one
-        :func:`repro.batch.execute_items` group with their deadlines and
-        cancel tokens live per wavefront, and a member whose batched run
-        fails retryably falls back to :meth:`_attempt`.
+        survivor runs through :meth:`_attempt` (the backend's ``execute``);
+        several go to the backend's ``execute_batch`` as one batch group
+        with their deadlines and cancel tokens live per wavefront, and a
+        member whose batched run fails retryably falls back to
+        :meth:`_attempt`.
         """
         run: list[tuple[PendingSolve, object]] = []
         for pending in members:
@@ -760,24 +740,10 @@ class SolveService:
 
         metrics = get_metrics()
         metrics.counter("batch.coalesced").inc(len(run))
-        items = []
-        for k, (pending, _) in enumerate(run):
-            request = pending.request
-            items.append(BatchItem(
-                index=k,
-                problem=request.problem,
-                executor=pending.effective_executor,
-                options=self._control_options(request, pending),
-                params=request.params,
-                functional=pending.effective_functional,
-                key=self._batch_key_of(pending),
-            ))
-        affinity = (
-            items[0].key if self._backend.kind == "process" else None
-        )
+        items = [self._item(pending, k) for k, (pending, _) in enumerate(run)]
         started = time.monotonic()
         with metrics.histogram("serve.execute_ms").time():
-            outcomes = self._backend.execute_batch(items, affinity=affinity)
+            outcomes = self._backend.execute_batch(items)
         # Calibrate on the *marginal* cost: the batch amortises one sweep
         # over len(run) members, so each member's observed wall share is the
         # honest per-request price for future coalesced admissions.
@@ -877,13 +843,14 @@ class SolveService:
         """
         metrics = get_metrics()
         request = pending.request
+        item = self._item(pending)
         attempts = 0
         while True:
             try:
                 check_fault("serve.execute")
                 started = time.monotonic()
                 with metrics.histogram("serve.execute_ms").time():
-                    result = self._execute(request, pending)
+                    result = self._backend.execute(item)
                 self._observe_run(pending, time.monotonic() - started)
                 break
             except (SolveCancelled, ServiceTimeout) as exc:
@@ -954,15 +921,28 @@ class SolveService:
             )
 
     def _delta_key_of(self, pending: PendingSolve) -> str | None:
-        """Memoized :func:`repro.delta.delta_key` for one request."""
+        """Memoized :func:`repro.delta.delta_key`, ``None`` when ineligible.
+
+        The one delta-eligibility predicate: the request's options enable
+        delta, its effective run is functional, the cache is the thread
+        backend's :class:`ResultCache` (the only one holding base payloads)
+        and :func:`repro.delta.delta_applicable` accepts the problem.
+        """
         memo = pending._delta_key
         if memo is _BATCH_KEY_UNSET:
             request = pending.request
-            memo = pending._delta_key = delta_key(
-                request.problem,
-                options=request.options or self.framework.options,
-                params=request.params,
-            )
+            options = request.options or self.framework.options
+            memo = None
+            if (
+                options.delta
+                and pending.effective_functional
+                and isinstance(self.cache, ResultCache)
+                and delta_applicable(request.problem, options) is None
+            ):
+                memo = delta_key(
+                    request.problem, options=options, params=request.params
+                )
+            pending._delta_key = memo
         return memo
 
     def _try_delta(
@@ -981,17 +961,10 @@ class SolveService:
         backend's :class:`ResultCache` holds base payloads, which is why
         :class:`ServiceConfig` rejects delta on the process backend.
         """
-        if key is None or not isinstance(self.cache, ResultCache):
-            return None
-        request = pending.request
-        options = request.options or self.framework.options
-        if not options.delta or not pending.effective_functional:
-            return None
-        if delta_applicable(request.problem, options) is not None:
-            return None
-        dkey = self._delta_key_of(pending)
+        dkey = None if key is None else self._delta_key_of(pending)
         if dkey is None:
             return None
+        request = pending.request
         base = self.cache.get_base(dkey, request.problem.payload)
         if base is None:
             return None
@@ -1002,7 +975,7 @@ class SolveService:
                 base_payload,
                 base_result,
                 platform=self.framework.platform,
-                options=self._control_options(request, pending),
+                options=self._control_options(pending),
                 executor=pending.effective_executor,
             )
         except PASSTHROUGH as exc:
@@ -1017,25 +990,6 @@ class SolveService:
         pending._delta_base = base_payload
         return result
 
-    def _base_key_for(
-        self, pending: PendingSolve, result: SolveResult
-    ) -> str | None:
-        """The near-match key to register ``result`` under, or ``None``.
-
-        Any cacheable functional result of a delta-enabled request becomes
-        a base — including delta-patched results, so edit chains keep
-        patching against the freshest table instead of the original.
-        """
-        request = pending.request
-        options = request.options or self.framework.options
-        if not options.delta or not isinstance(self.cache, ResultCache):
-            return None
-        if not pending.effective_functional or result.table is None:
-            return None
-        if delta_applicable(request.problem, options) is not None:
-            return None
-        return self._delta_key_of(pending)
-
     def _finish(self, pending: PendingSolve, span, key, result: SolveResult) -> None:
         """Cache, count and resolve one successfully executed request."""
         metrics = get_metrics()
@@ -1045,12 +999,15 @@ class SolveService:
         if pending._delta_base is not None:
             span.set(delta=True)
         if key is not None:
-            base_key = self._base_key_for(pending, result)
+            base_key = (
+                None if result.table is None else self._delta_key_of(pending)
+            )
             if base_key is not None:
-                # Register the result as a delta base: the request's payload
-                # is already a frozen snapshot (SolveRequest freezes it), so
-                # it is safe to keep as the diffing reference. A patched
-                # result replaces the base it was patched from.
+                # Register the result as a delta base — delta-patched ones
+                # too, so edit chains patch against the freshest table. The
+                # request's payload is already a frozen snapshot
+                # (SolveRequest freezes it), so it is safe to keep as the
+                # diffing reference. A patched result replaces its base.
                 self.cache.put(
                     key, result,
                     base_key=base_key,
@@ -1130,44 +1087,33 @@ class SolveService:
                 self._not_empty.wait(remaining)
         return members
 
-    def _control_options(
-        self, request: SolveRequest, pending: PendingSolve
-    ) -> ExecOptions:
+    def _control_options(self, pending: PendingSolve) -> ExecOptions:
         """The request's effective options with its control plane injected.
 
         Merges the pending deadline with any options-level one (earlier
         wins) and threads the per-request cancel token; both fields are
-        ``repr``-excluded, so cache keys are unaffected. Shared by the
-        backend execution path, the batch items of a coalesced set and the
-        delta patch, which must honor the same deadline/cancellation
-        contract.
+        ``repr``-excluded, so cache keys are unaffected. Shared by every
+        backend item and the delta patch, which must honor the same
+        deadline/cancellation contract.
         """
-        return (request.options or self.framework.options).with_control(
-            pending.deadline, pending.cancel_token
-        )
+        options = pending.request.options or self.framework.options
+        return options.with_control(pending.deadline, pending.cancel_token)
 
-    def _execute(self, request: SolveRequest, pending: PendingSolve) -> SolveResult:
-        """One backend run with the request's control plane injected.
+    def _item(self, pending: PendingSolve, index: int = 0) -> BatchItem:
+        """The one backend job of ``pending``: its effective plan as a
+        :class:`~repro.batch.BatchItem`.
 
-        The deadline and cancel token are threaded into the run's
-        :class:`~repro.exec.base.ExecOptions` *after* cache-key computation
-        (both fields are ``repr``-excluded, so keys stay stable either
-        way); a request-level options deadline, if any, is tightened to the
-        earlier of the two. On the process backend, the request's batch key
-        rides along as the sharding affinity — batch-compatible requests
-        consistently hash to the same worker process, whose plan cache
-        stays warm for that shape.
+        Carries the effective executor and functional flag, the options
+        with the request's deadline and cancel token injected, and the
+        memoized batch key, on which the process backend shards.
         """
-        options = self._control_options(request, pending)
-        affinity = (
-            self._batch_key_of(pending)
-            if self._backend.kind == "process" else None
-        )
-        return self._backend.execute(
+        request = pending.request
+        return BatchItem(
+            index=index,
             problem=request.problem,
             executor=pending.effective_executor,
+            options=self._control_options(pending),
             params=request.params,
-            options=options,
             functional=pending.effective_functional,
-            affinity=affinity,
+            key=self._batch_key_of(pending),
         )

@@ -16,12 +16,16 @@ import time
 import numpy as np
 import pytest
 
-from repro import ContributingSet, Framework, LDDPProblem
+from repro import ContributingSet, ExecOptions, Framework, LDDPProblem
+from repro.batch import BatchItem, execute_items
+from repro.cancel import CancelToken
+from repro.errors import SolveCancelled
 from repro.exec import SequentialExecutor
 from repro.exec.base import register_executor, unregister_executor
-from repro.machine.platform import hetero_high
+from repro.faults import inject_faults
+from repro.machine.platform import hetero_high, hetero_low
 from repro.problems import make_lcs, make_levenshtein
-from repro.serve import ServiceConfig, SolveService
+from repro.serve import ServiceConfig, SolveRequest, SolveService
 from repro.serve.shm import live_segment_count
 
 PROCESS = ServiceConfig(backend="process", workers=1, cache_size=0)
@@ -48,14 +52,14 @@ def _quirk_init(table, payload):
     table[:, 0] = 0
 
 
-def make_quirk(n: int, seed: int = 0) -> LDDPProblem:
+def make_quirk(n: int, seed: int = 0, init=_quirk_init) -> LDDPProblem:
     rng = np.random.default_rng(seed)
     return LDDPProblem(
         name=f"quirk-{n}-{seed}",
         shape=(n, n),
         contributing=ContributingSet.of("W", "N"),
         cell=quirk_cell,
-        init=_quirk_init,
+        init=init,
         fixed_rows=1,
         fixed_cols=1,
         dtype=np.int64,
@@ -196,3 +200,93 @@ class TestBackendStats:
         for got, want in zip(results, oracle):
             assert np.array_equal(got.table, want.table)
         assert any(r.stats.get("batched", 0) > 1 for r in results)
+
+
+BACKENDS = ("thread", "process")
+
+
+def _config(backend: str, members: int) -> ServiceConfig:
+    """One dispatch thread; ``members > 1`` requests coalesce into one run
+    (the leader waits until all of them joined)."""
+    if members == 1:
+        return PROCESS.replace(backend=backend)
+    return PROCESS.replace(backend=backend, coalesce_window=5.0,
+                           max_batch=members)
+
+
+@pytest.mark.parametrize("shape", ["solo", "coalesced"])
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_token_fired_before_dispatch_cancels_the_request(backend, shape):
+    tokens = [CancelToken() for _ in range(1 if shape == "solo" else 3)]
+    tokens[-1].cancel()  # fired before submit
+    with SolveService(hetero_high(),
+                      config=_config(backend, len(tokens))) as svc:
+        # Warm the pool first: a job queued behind a worker still starting
+        # up would see the token through the parent's poll instead.
+        svc.map([make_lcs(16, seed=k) for k in range(len(tokens))])
+        pending = [
+            svc.submit(SolveRequest(make_levenshtein(32, seed=k),
+                                    options=ExecOptions(cancel_token=tok)))
+            for k, tok in enumerate(tokens)
+        ]
+        outcomes = [p.exception(timeout=120) or p.result() for p in pending]
+    assert isinstance(outcomes[-1], SolveCancelled)
+    for k, got in enumerate(outcomes[:-1]):  # batch-mates complete
+        want = Framework(hetero_high()).solve(
+            make_levenshtein(32, seed=k), executor="sequential")
+        assert np.array_equal(got.table, want.table)
+        assert got.stats["batched"] == 3
+
+
+def _closure_quirk(n: int, seed: int) -> LDDPProblem:
+    """A quirk whose ``init`` is a closure: it cannot pickle, so the
+    process backend runs it inline."""
+    border = 0
+
+    def init(table, payload):
+        table[0, :] = border
+        table[:, 0] = border
+
+    return make_quirk(n, seed, init=init)
+
+
+PARITY_SETS = {
+    "solo": lambda: [make_levenshtein(96)],
+    "coalesced": lambda: [make_levenshtein(96, seed=s) for s in range(3)],
+    "inline": lambda: [_closure_quirk(96, seed=s) for s in range(3)],
+}
+
+
+@pytest.mark.parametrize("shape", sorted(PARITY_SETS))
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_backend_parity_tables_and_routes(backend, shape):
+    """Each backend returns oracle tables and the in-process route record.
+
+    The reference route comes from running the same set directly in this
+    process (``Framework.solve`` for one problem, ``execute_items`` for a
+    set) under a fresh fault plan, so both backends are held to one record.
+    """
+    problems = PARITY_SETS[shape]()
+    oracle = [Framework(hetero_high()).solve(p, executor="sequential")
+              for p in problems]
+    for spec in ((), ("machine.gpu:rate=1.0",)):
+        with inject_faults(*spec):
+            fw = Framework(hetero_low())
+            if len(problems) == 1:
+                reference = [fw.solve(problems[0])]
+            else:
+                reference = execute_items(
+                    [BatchItem(index=k, problem=p)
+                     for k, p in enumerate(problems)], fw)
+        with inject_faults(*spec):
+            with SolveService(hetero_low(),
+                              config=_config(backend, len(problems))) as svc:
+                pending = [svc.submit_problem(p) for p in problems]
+                results = [p.result(timeout=120) for p in pending]
+                inline = svc.stats()["backend"].get("inline_fallbacks", 0)
+        assert inline == (backend == "process" and shape == "inline")
+        for got, ref, want in zip(results, reference, oracle):
+            assert np.array_equal(got.table, want.table)
+            assert got.stats.get("route") == ref.stats.get("route")
+            assert got.stats.get("batched", 1) == len(problems)
+        assert bool(results[0].stats.get("route")) == bool(spec)

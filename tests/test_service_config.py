@@ -16,7 +16,6 @@ class TestServiceConfig:
     def test_defaults_validate_and_are_frozen(self):
         cfg = ServiceConfig()
         assert cfg.backend == "thread"
-        assert cfg.start_method == "spawn"
         with pytest.raises(Exception):
             cfg.workers = 99  # frozen dataclass
 
@@ -30,11 +29,15 @@ class TestServiceConfig:
         {"coalesce_window": -0.1},
         {"max_batch": 0},
         {"default_timeout": -1.0},
-        {"start_method": "teleport"},
     ])
     def test_validation_rejects_bad_values(self, changes):
         with pytest.raises(ValueError):
             ServiceConfig(**changes)
+
+    def test_start_method_is_not_a_knob(self):
+        # The process backend always spawns: the parent is multi-threaded.
+        with pytest.raises(TypeError):
+            ServiceConfig(start_method="spawn")
 
     def test_replace_returns_revalidated_copy(self):
         cfg = ServiceConfig(workers=2)
