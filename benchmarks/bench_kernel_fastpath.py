@@ -4,8 +4,10 @@ The acceptance bar for the kernel subsystem (:mod:`repro.kernels`) is a hard
 >= 3x warm-plan speedup of the full functional sweep on a 512x512
 Levenshtein — the canonical LDDP workload, whose anti-diagonal wavefronts
 the plan turns into pure strided views — with tables bit-for-bit identical
-to the sequential oracle. A horizontal-pattern workload (prefix sums: rows
-become contiguous slices) is reported alongside for the trajectory.
+to an independent oracle, the row-vectorized Wagner-Fischer table of
+:func:`repro.problems.reference_levenshtein`. A horizontal-pattern workload
+(prefix sums: rows become contiguous slices) is reported alongside for the
+trajectory.
 
 The two arms are full functional sweeps through ``evaluate_span``: with
 ``fastpath=False`` (generic) and with the plan cache warm (the warm arm's
@@ -29,7 +31,11 @@ import _harness
 from repro.exec.base import evaluate_span
 from repro.kernels import get_plan_cache, plan_for
 from repro.patterns.registry import strategy_for
-from repro.problems import make_levenshtein, make_prefix_sum
+from repro.problems import (
+    make_levenshtein,
+    make_prefix_sum,
+    reference_levenshtein,
+)
 
 ROOT_JSON = "BENCH_kernels.json"
 TARGET_RATIO = 3.0
@@ -46,18 +52,8 @@ def _sweep(problem, schedule, fastpath: bool) -> np.ndarray:
     return table
 
 
-def _oracle_table(problem, schedule) -> np.ndarray:
-    """Sequential oracle: batch-of-one spans through the generic path."""
-    table = problem.make_table()
-    aux = problem.make_aux()
-    for t in range(schedule.num_iterations):
-        for k in range(schedule.width(t)):
-            evaluate_span(problem, schedule, table, aux, t, k, k + 1,
-                          fastpath=False)
-    return table
-
-
-def _measure_one(name: str, problem, reps: int, oracle: bool) -> dict:
+def _measure_one(name: str, problem, reps: int, oracle=None) -> dict:
+    """Time both arms; ``oracle`` is an independent reference table."""
     schedule = strategy_for(problem).schedule
     timings, tables = _harness.time_arms({
         "generic": lambda: _sweep(problem, schedule, False),
@@ -65,9 +61,9 @@ def _measure_one(name: str, problem, reps: int, oracle: bool) -> dict:
     }, reps)
     plan = plan_for(problem, schedule)
     bit_identical = bool(np.array_equal(tables["warm"], tables["generic"]))
-    if oracle:
+    if oracle is not None:
         bit_identical = bit_identical and bool(
-            np.array_equal(tables["warm"], _oracle_table(problem, schedule))
+            np.array_equal(tables["warm"], oracle)
         )
     return {
         "workload": name,
@@ -83,11 +79,11 @@ def _measure_one(name: str, problem, reps: int, oracle: bool) -> dict:
 
 def measure(quick: bool, reps: int) -> dict:
     size = 256 if quick else 512
+    lev = make_levenshtein(size)
+    oracle = reference_levenshtein(lev.payload["a"], lev.payload["b"])
     workloads = [
-        _measure_one(f"levenshtein-{size}", make_levenshtein(size), reps,
-                     oracle=True),
-        _measure_one(f"prefix-sum-{size}", make_prefix_sum(size), reps,
-                     oracle=False),
+        _measure_one(f"levenshtein-{size}", lev, reps, oracle=oracle),
+        _measure_one(f"prefix-sum-{size}", make_prefix_sum(size), reps),
     ]
     cache = get_plan_cache()
     return {

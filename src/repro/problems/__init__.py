@@ -26,7 +26,7 @@ without gigabyte allocations. A ``payload['_nbytes_hint']`` entry preserves
 correct setup-transfer byte accounting.
 """
 
-from .levenshtein import make_levenshtein
+from .levenshtein import make_levenshtein, reference_levenshtein
 from .lcs import make_lcs
 from .dtw import make_dtw
 from .needleman_wunsch import make_needleman_wunsch
@@ -52,6 +52,7 @@ from .synthetic import (
 
 __all__ = [
     "make_levenshtein",
+    "reference_levenshtein",
     "make_lcs",
     "make_dtw",
     "make_needleman_wunsch",

@@ -17,7 +17,7 @@ from ..core.cellfunc import EvalContext
 from ..core.problem import LDDPProblem
 from ..types import ContributingSet
 
-__all__ = ["make_levenshtein", "levenshtein_cell"]
+__all__ = ["make_levenshtein", "levenshtein_cell", "reference_levenshtein"]
 
 
 def levenshtein_cell(ctx: EvalContext) -> np.ndarray:
@@ -72,3 +72,24 @@ def make_levenshtein(
         gpu_work=1.5,  # data-dependent branching diverges on the GPU
         payload_locality={"a": ("row", 1), "b": ("col", 1)},
     )
+
+
+def reference_levenshtein(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-vectorized Wagner-Fischer reference table, for tests and benches.
+
+    Shares no code with the cell function or the executors. Row ``i`` first
+    takes ``min(N + 1, NW + mismatch)`` for every column, then closes the
+    W chain ``d[i][j] = min(tmp[j], d[i][j-1] + 1)`` in one pass:
+    ``min_{k<=j}(tmp[k] + j - k)`` is ``np.minimum.accumulate(tmp - j) + j``.
+    """
+    m, n = len(a), len(b)
+    j = np.arange(n + 1)
+    d = np.empty((m + 1, n + 1), dtype=np.int64)
+    d[0] = j
+    tmp = np.empty(n + 1, dtype=np.int64)
+    for i in range(1, m + 1):
+        prev = d[i - 1]
+        tmp[0] = i
+        np.minimum(prev[1:] + 1, prev[:-1] + (a[i - 1] != b), out=tmp[1:])
+        d[i] = np.minimum.accumulate(tmp - j) + j
+    return d

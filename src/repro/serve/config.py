@@ -76,8 +76,10 @@ class ServiceConfig:
         Service-wide :class:`~repro.exec.base.ExecOptions`; per-request
         overrides still apply. ``delta=True`` requires the thread backend.
     coalesce_window:
-        Seconds a worker waits for batch-compatible requests to coalesce
-        into one stacked execution (``0`` disables).
+        Seconds a worker whose request will execute (it survived its
+        cache, delta, expiry and cancellation checks) waits for
+        batch-compatible requests to coalesce into one stacked execution
+        (``0`` disables).
     max_batch:
         Cap on requests coalesced into one batched execution.
     slo:

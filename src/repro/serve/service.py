@@ -19,11 +19,13 @@ stream-of-requests server (the ROADMAP's production-traffic seam):
 * a failed execution is **retried with exponential backoff and jitter**,
   re-checking the remaining deadline before each attempt (never sleeping
   into a guaranteed timeout);
-* with ``coalesce_window > 0``, a worker that picks up a request briefly
-  drains **batch-compatible** queued requests (same
+* with ``coalesce_window > 0``, a worker whose request survives its own
+  prelude (not cancelled, expired, cached or delta-patched — those settle
+  at once) briefly drains **batch-compatible** queued requests (same
   :func:`repro.batch.batch_key`) and executes them as one stacked sweep —
   per-request caching, deadlines, cancellation and degradation semantics
-  are preserved member by member (see ``docs/batching.md``).
+  are preserved member by member (see ``docs/batching.md``). Only a
+  request that will execute waits out the window.
 
 Everything is instrumented through :mod:`repro.obs`: a ``serve.queue.depth``
 gauge, ``serve.cache.hits``/``serve.cache.misses`` counters, latency
@@ -548,8 +550,9 @@ class SolveService:
         inline-fallback counts, per-worker-process job counters and metric
         snapshots). With an :class:`~repro.slo.SLOPolicy` installed, an
         ``"slo"`` sub-dict adds the admission/shed/downgrade and autoscale
-        counters, predicted backlog, pricer calibration and per-tenant
-        quota books.
+        counters, predicted backlog, pricer calibration and price error
+        (``price_error``: count/p50/p90 of observed ÷ predicted wall per
+        ``executor:solve|estimate``) and per-tenant quota books.
         """
         with self._lock:
             depth = len(self._queue)
@@ -584,6 +587,7 @@ class SolveService:
                 "backlog_wall_s": backlog,
                 "latency_ewma_ms": latency,
                 "calibration": self._pricer.calibration(),
+                "price_error": self._pricer.price_error(),
                 "tenants": self._quotas.snapshot(),
             }
         return out
@@ -685,14 +689,19 @@ class SolveService:
     def _process(self, pending: PendingSolve) -> None:
         """Settle one dequeued request and any batch-compatible queue-mates.
 
-        With ``coalesce_window > 0`` and a batchable ``pending`` (the
-        leader), compatible requests are drained from the queue for up to
-        the window first; either way the set — often just ``[pending]`` —
-        goes through :meth:`_process_batch`, the one request lifecycle.
+        The leader ``pending`` passes :meth:`_claim` first, so a cancelled,
+        expired, cached or delta-patched leader frees the worker at once.
+        A leader that will execute, with ``coalesce_window > 0`` and a batch
+        key, then drains compatible requests from the queue for up to the
+        window; either way the set — often just ``[pending]`` — goes through
+        :meth:`_process_batch`, the one request lifecycle.
         """
+        leader_key = self._claim(pending)
+        if leader_key is _SETTLED:
+            return
         key = self._batch_key_of(pending) if self.coalesce_window > 0 else None
         if key is None:
-            self._process_batch([pending])
+            self._process_batch([pending], leader_key=leader_key)
             return
         # Register the in-flight key so admission can price a compatible
         # late arrival at its marginal (coalesced) cost, not full freight.
@@ -703,7 +712,8 @@ class SolveService:
                 )
         try:
             self._process_batch(
-                [pending] + self._drain_compatible(pending, key)
+                [pending] + self._drain_compatible(pending, key),
+                leader_key=leader_key,
             )
         finally:
             if self.slo is not None:
@@ -714,24 +724,23 @@ class SolveService:
                     else:
                         self._active_batch_keys.pop(key, None)
 
-    def _process_batch(self, members: list[PendingSolve]) -> None:
+    def _process_batch(self, members: list[PendingSolve], *, leader_key) -> None:
         """Resolve a set of requests: per-request prelude, then execute.
 
-        Every member first passes :meth:`_claim`, so a cancelled, expired,
-        cached or delta-patched request never pays for execution. A lone
-        survivor runs through :meth:`_attempt` (the backend's ``execute``);
-        several go to the backend's ``execute_batch`` as one batch group
-        with their deadlines and cancel tokens live per wavefront, and a
-        member whose batched run fails retryably falls back to
-        :meth:`_attempt`.
+        The leader ``members[0]`` already survived :meth:`_claim` with cache
+        key ``leader_key``; every drained member passes it here, so a
+        cancelled, expired, cached or delta-patched request never pays for
+        execution. A lone survivor runs through :meth:`_attempt` (the
+        backend's ``execute``); several go to the backend's
+        ``execute_batch`` as one batch group with their deadlines and cancel
+        tokens live per wavefront, and a member whose batched run fails
+        retryably falls back to :meth:`_attempt`.
         """
-        run: list[tuple[PendingSolve, object]] = []
-        for pending in members:
+        run: list[tuple[PendingSolve, object]] = [(members[0], leader_key)]
+        for pending in members[1:]:
             key = self._claim(pending)
             if key is not _SETTLED:
                 run.append((pending, key))
-        if not run:
-            return
         if len(run) == 1:
             pending, key = run[0]
             with self._request_span(pending) as span:

@@ -20,6 +20,11 @@ refinements turn that into a wall-clock predictor:
   ``(executor, mode)`` converts units into predicted host seconds. Until a
   pair is first observed it falls back to a conservative seed (estimates
   are seeded far cheaper than solves — they never fill the table).
+* **Price error.** Before each calibration update, :meth:`Pricer.observe`
+  records observed ÷ predicted wall into a ``slo.price.error`` histogram
+  per ``(executor, mode)``, the prediction being the one admission would
+  have made for that run; :meth:`Pricer.price_error` reports each key's
+  count, p50 and p90 (``stats()["slo"]["price_error"]``).
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from collections import OrderedDict
 from ..core.partition import HeteroParams
 from ..core.problem import LDDPProblem
 from ..exec.base import ExecOptions
-from ..obs import get_metrics
+from ..obs import Histogram, get_metrics
 
 __all__ = ["Pricer"]
 
@@ -38,6 +43,10 @@ __all__ = ["Pricer"]
 #: ``(executor, functional)`` pair: solves fill tables (expensive), estimates
 #: only run the timing model.  Calibration replaces these within one request.
 _SEED_RATIO = {True: 1.0, False: 0.05}
+
+#: ``slo.price.error`` bucket bounds: ten per decade from 1e-4 to 1e4, so a
+#: percentile is within about 26% of the observed ÷ predicted ratio.
+_ERROR_BUCKETS = tuple(round(10.0 ** (k / 10), 6) for k in range(-40, 41))
 
 
 class Pricer:
@@ -58,6 +67,7 @@ class Pricer:
         self._cache_size = cache_size
         self._prices: OrderedDict[str, float | None] = OrderedDict()
         self._ratios: dict[tuple[str, bool], float] = {}
+        self._errors: dict[tuple[str, bool], Histogram] = {}
         self._lock = threading.Lock()
 
     # -- units ------------------------------------------------------------------
@@ -166,13 +176,25 @@ class Pricer:
     def observe(
         self, executor: str, functional: bool, units: float, wall: float
     ) -> None:
-        """Feed back one observed ``(units, wall seconds)`` pair."""
+        """Feed back one observed ``(units, wall seconds)`` pair.
+
+        Records observed ÷ predicted wall, predicted being ``units`` times
+        the ratio *before* this update, then moves the EWMA.
+        """
         if units <= 0 or wall < 0:
             return
         observed = wall / units
         key = (executor, functional)
         with self._lock:
             prev = self._ratios.get(key)
+            ratio = _SEED_RATIO[functional] if prev is None else prev
+            if ratio > 0:  # a 0 s run calibrates a ratio of 0: no prediction
+                errors = self._errors.get(key)
+                if errors is None:
+                    errors = self._errors[key] = Histogram(
+                        "slo.price.error", _ERROR_BUCKETS
+                    )
+                errors.observe(observed / ratio)
             self._ratios[key] = (
                 observed if prev is None
                 else prev + self.alpha * (observed - prev)
@@ -182,6 +204,24 @@ class Pricer:
         """Snapshot of learned ratios, for stats()/reports."""
         with self._lock:
             return {
-                f"{ex}:{'solve' if fn else 'estimate'}": ratio
-                for (ex, fn), ratio in sorted(self._ratios.items())
+                _label(key): ratio for key, ratio in sorted(self._ratios.items())
             }
+
+    def price_error(self) -> dict[str, dict[str, float]]:
+        """``slo.price.error`` per key: count, p50 and p90 of observed ÷
+        predicted wall, for stats()/reports."""
+        with self._lock:
+            return {
+                _label(key): {
+                    "count": h.count,
+                    "p50": h.percentile(50),
+                    "p90": h.percentile(90),
+                }
+                for key, h in sorted(self._errors.items())
+            }
+
+
+def _label(key: tuple[str, bool]) -> str:
+    """``executor:solve`` or ``executor:estimate``."""
+    executor, functional = key
+    return f"{executor}:{'solve' if functional else 'estimate'}"

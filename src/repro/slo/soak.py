@@ -308,6 +308,7 @@ def _run_phase(
         "workers_started": after["workers_started"],
         "workers_alive_after_close": after["workers_alive"],
         "calibration": stats["slo"]["calibration"],
+        "price_error": stats["slo"]["price_error"],
         "tenants": stats["slo"]["tenants"],
     }
     return phase, samples

@@ -811,13 +811,17 @@ class TestLineages:
 def _coalesced_edits(monkeypatch, *, fault=None, fail_batch=False):
     """Two queued edits of two same-shape documents, drained as one batch.
 
+    A leader settled by its own prelude never drains, so the edits queue
+    behind an uncacheable same-shape head that survives its claim (no cache
+    key, so no delta probe) and drains them: the set is head plus edits.
     Returns the two delivered results, their edited problems, the batch
-    sizes the coalescer saw and how many patches degraded. ``fault`` is injected after the warm-up; with
-    ``fail_batch`` the batched run fails for every member, forcing the
-    per-request fallback.
+    sizes the coalescer saw and how many patches degraded. ``fault`` is
+    injected after the warm-up; with ``fail_batch`` the batched run fails
+    for every member, forcing the per-request fallback.
     """
     docs = [make_levenshtein(48, seed=0), make_levenshtein(48, seed=1)]
     edits = [_edit_entry(d, "a", [47]) for d in docs]
+    head = make_levenshtein(48, seed=2)
     blocker = make_checkerboard(64)
     sizes = []
     cfg = ServiceConfig(workers=1, coalesce_window=0.05,
@@ -827,9 +831,9 @@ def _coalesced_edits(monkeypatch, *, fault=None, fail_batch=False):
             svc.submit(SolveRequest(doc)).result()
         process_batch = svc._process_batch
 
-        def spy(members):
+        def spy(members, **kwargs):
             sizes.append(len(members))
-            process_batch(members)
+            process_batch(members, **kwargs)
 
         monkeypatch.setattr(svc, "_process_batch", spy)
         if fail_batch:
@@ -842,8 +846,10 @@ def _coalesced_edits(monkeypatch, *, fault=None, fail_batch=False):
         with inject_faults(*([fault] if fault else [])):
             # Occupy the single worker so both edits queue together.
             hold = svc.submit(SolveRequest(blocker, cacheable=False))
+            lead = svc.submit(SolveRequest(head, cacheable=False))
             pending = [svc.submit(SolveRequest(e)) for e in edits]
             hold.result()
+            assert np.array_equal(lead.result().table, _oracle(head))
             results = [p.result() for p in pending]
     return results, edits, sizes, degraded.value - before
 
@@ -855,7 +861,7 @@ class TestCoalescedDelta:
         metrics = get_metrics()
         instances = metrics.counter("batch.instances").value
         results, edits, sizes, _ = _coalesced_edits(monkeypatch)
-        assert 2 in sizes
+        assert 3 in sizes  # head + both edits
         assert [r.stats["solver"] for r in results] == ["delta", "delta"]
         assert metrics.counter("batch.instances").value == instances
         for result, edit in zip(results, edits):
@@ -864,7 +870,7 @@ class TestCoalescedDelta:
     def test_patch_fault_in_a_batch_is_counted_once(self, monkeypatch):
         results, edits, sizes, degraded_count = _coalesced_edits(
             monkeypatch, fault="delta.patch:nth=1")
-        assert 2 in sizes
+        assert 3 in sizes  # head + both edits
         assert degraded_count == 1
         degraded = [r for r in results if r.stats.get("solver") != "delta"]
         assert len(degraded) == 1
@@ -877,7 +883,7 @@ class TestCoalescedDelta:
     def test_failed_batch_fallback_does_not_probe_again(self, monkeypatch):
         results, edits, sizes, degraded_count = _coalesced_edits(
             monkeypatch, fault="delta.patch:rate=1", fail_batch=True)
-        assert 2 in sizes
+        assert 3 in sizes  # head + both edits
         assert degraded_count == 2
         for result, edit in zip(results, edits):
             assert result.stats["degraded"] == "full-solve"

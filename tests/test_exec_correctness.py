@@ -19,6 +19,7 @@ from repro.problems import (
     make_synthetic,
     reference_checkerboard,
     reference_dithering,
+    reference_levenshtein,
 )
 from repro.problems.dtw import reference_dtw
 from repro.problems.lcs import reference_lcs
@@ -61,24 +62,36 @@ class TestAll15ContributingSets:
         assert np.array_equal(th, tl)
 
 
+def _wagner_fischer(a, b) -> np.ndarray:
+    """Independent scalar edit-distance table."""
+    m, n = len(a), len(b)
+    d = np.zeros((m + 1, n + 1), dtype=np.int64)
+    d[0, :] = np.arange(n + 1)
+    d[:, 0] = np.arange(m + 1)
+    for i in range(1, m + 1):
+        for j in range(1, n + 1):
+            d[i, j] = min(
+                d[i - 1, j] + 1,
+                d[i, j - 1] + 1,
+                d[i - 1, j - 1] + (a[i - 1] != b[j - 1]),
+            )
+    return d
+
+
 class TestCaseStudies:
     def test_levenshtein_matches_reference(self):
         p = make_levenshtein(48, 61, seed=7)
         res = assert_all_executors_agree(p, t_switch=8, t_share=5)
-        a, b = p.payload["a"], p.payload["b"]
-        # independent scalar reference
-        m, n = len(a), len(b)
-        d = np.zeros((m + 1, n + 1), dtype=np.int64)
-        d[0, :] = np.arange(n + 1)
-        d[:, 0] = np.arange(m + 1)
-        for i in range(1, m + 1):
-            for j in range(1, n + 1):
-                d[i, j] = min(
-                    d[i - 1, j] + 1,
-                    d[i, j - 1] + 1,
-                    d[i - 1, j - 1] + (a[i - 1] != b[j - 1]),
-                )
+        d = _wagner_fischer(p.payload["a"], p.payload["b"])
         assert np.array_equal(res["hetero"].table, d)
+
+    @pytest.mark.parametrize("m,n", [(48, 61), (61, 23)])
+    def test_reference_levenshtein_matches_scalar_loop(self, m, n):
+        p = make_levenshtein(m, n, seed=7)
+        a, b = p.payload["a"], p.payload["b"]
+        ref = reference_levenshtein(a, b)
+        assert ref.shape == (m + 1, n + 1)
+        assert np.array_equal(ref, _wagner_fischer(a, b))
 
     def test_levenshtein_identity(self):
         p = make_levenshtein(30, 30, seed=3)

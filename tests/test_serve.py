@@ -479,20 +479,40 @@ _COUNTERS = (
 _SPAN_ATTRS = ("problem", "executor", "outcome", "downgraded", "delta")
 
 
+def _lifecycle_head(outcome: str, make) -> SolveRequest:
+    """A request of the targets' batch key that survives its own claim.
+
+    Fresh and uncacheable (no cache lookup, no delta probe), never
+    cancelled, without a timeout — except in the ``downgraded`` case, where
+    the same 1 s deadline down-tiers it with the targets. Named ``head`` so
+    its span and set membership are told apart from the targets'.
+    """
+    from dataclasses import replace
+
+    return SolveRequest(
+        replace(make(3).problem, name="head"), cacheable=False,
+        timeout=1.0 if outcome == "downgraded" else None,
+    )
+
+
 def _run_lifecycle(outcome: str, window: float):
     """Queue three batch-compatible requests behind a gated blocker, release
     them together and report what the service did with each.
 
-    Returns the pending handles, the targets' ``_process_batch`` set sizes, the
-    counter deltas over the release and the targets' ``serve.request``
-    span attributes (spans read after ``close``, so all have ended).
+    With ``window > 0`` a :func:`_lifecycle_head` is queued in front of the
+    targets: a leader settled by its own prelude never drains, so the head
+    is the leader whose set holds the targets. Returns the pending targets,
+    the head (``None`` without a window), every non-gate ``_process_batch``
+    set, the counter deltas over the release and the ``serve.request`` span
+    attributes of the targets and of the head (spans read after ``close``,
+    so all have ended).
     """
     from repro.obs import Tracer, use_tracer
 
     overrides, warm, make = _LIFECYCLE[outcome]
     cfg = ServiceConfig(workers=1, coalesce_window=window, **overrides)
     entered, release = threading.Event(), threading.Event()
-    sizes: list[int] = []
+    sets: list[list] = []
     tracer = Tracer()
     metrics = get_metrics()
     with use_tracer(tracer):
@@ -506,10 +526,10 @@ def _run_lifecycle(outcome: str, window: float):
                 svc._pricer.observe("cpu", True, units=units, wall=1e-3)
             process_batch = svc._process_batch
 
-            def spy(members):
+            def spy(members, **kwargs):
                 if members[0].request.problem.name != "gate":
-                    sizes.append(len(members))
-                process_batch(members)
+                    sets.append(list(members))
+                process_batch(members, **kwargs)
 
             svc._process_batch = spy
             tracer.clear()
@@ -519,6 +539,9 @@ def _run_lifecycle(outcome: str, window: float):
                 cacheable=False,
             ))
             assert entered.wait(timeout=10.0)
+            head = (
+                svc.submit(_lifecycle_head(outcome, make)) if window else None
+            )
             pending = [svc.submit(make(k)) for k in range(3)]
             if outcome == "cancelled":
                 assert all(p.cancel() for p in pending)
@@ -526,15 +549,19 @@ def _run_lifecycle(outcome: str, window: float):
                 time.sleep(0.03)
             release.set()
             hold.result()
+            if head is not None:
+                head.result()
     counts = {
         name: metrics.counter(name).value - before[name] for name in _COUNTERS
     }
-    spans = [
-        {k: s.attrs.get(k) for k in _SPAN_ATTRS}
-        for s in tracer.finished_spans()
-        if s.name == "serve.request" and s.attrs.get("problem") != "gate"
-    ]
-    return pending, sizes, counts, spans
+    spans = {"target": [], "head": []}
+    for s in tracer.finished_spans():
+        name = s.attrs.get("problem")
+        if s.name == "serve.request" and name != "gate":
+            spans["head" if name == "head" else "target"].append(
+                {k: s.attrs.get(k) for k in _SPAN_ATTRS}
+            )
+    return pending, head, sets, counts, spans
 
 
 class TestLifecycleEquivalence:
@@ -544,16 +571,34 @@ class TestLifecycleEquivalence:
     @pytest.mark.parametrize("window", [0.0, 0.05], ids=["solo", "drained"])
     @pytest.mark.parametrize("outcome", list(_LIFECYCLE))
     def test_outcome_counters_and_spans(self, outcome, window):
-        pending, sizes, counts, spans = _run_lifecycle(outcome, window)
-        if window:
-            assert sizes == [3]  # the targets really were one drained set
+        pending, head, sets, counts, spans = _run_lifecycle(outcome, window)
         expected_counts = dict.fromkeys(_COUNTERS, 0)
         expected_counts["serve.requests.completed"] = 1  # the blocker
+        if window:
+            # The targets really were one drained set, led by the head
+            # (drained in queue-heap order, not necessarily submit order).
+            [members] = sets
+            assert members[0] is head
+            assert sorted(map(id, members[1:])) == sorted(map(id, pending))
+            # The head's own known contribution: one uncached completion
+            # (down-tiered with the targets in the downgraded case).
+            head_span = {k: None for k in _SPAN_ATTRS}
+            head_span.update(problem="head", executor="hetero",
+                             outcome="uncached")
+            expected_counts["serve.requests.completed"] += 1
+            if outcome == "downgraded":
+                assert head.result().executor == "cpu"
+                expected_counts["serve.admission.downgraded"] += 1
+                head_span.update(executor="cpu",
+                                 downgraded="executor 'hetero' -> 'cpu'")
+            assert spans["head"] == [head_span]
+        else:
+            assert head is None and spans["head"] == []
         span = {k: None for k in _SPAN_ATTRS}
         if outcome == "cancelled":
             assert all(p._future.cancelled() for p in pending)
             expected_counts["serve.requests.cancelled"] = 3
-            assert spans == []
+            assert spans["target"] == []
             assert counts == expected_counts
             return
         if outcome == "expired":
@@ -582,12 +627,79 @@ class TestLifecycleEquivalence:
                 assert {p.downgraded for p in pending} == {
                     "executor 'hetero' -> 'cpu'"}
                 expected_counts["serve.cache.misses"] = 3
-                expected_counts["serve.admission.downgraded"] = 3
+                expected_counts["serve.admission.downgraded"] += 3
                 span.update(problem="serve-costs", executor="cpu",
                             outcome="miss",
                             downgraded="executor 'hetero' -> 'cpu'")
         assert counts == expected_counts
-        assert spans == [span] * 3
+        assert spans["target"] == [span] * 3
+
+
+class TestClaimBeforeCoalescing:
+    """Only a leader that will execute waits out the coalescing window."""
+
+    WINDOW = 2.0
+
+    def _service(self) -> SolveService:
+        # max_batch=2: a pair fills its set, so the warm-up never waits.
+        return SolveService(hetero_high(), config=ServiceConfig(
+            workers=1, coalesce_window=self.WINDOW, max_batch=2,
+            options=ExecOptions(delta=True),
+        ))
+
+    @pytest.mark.parametrize("outcome", ["hit", "delta", "expired"])
+    def test_settled_leader_returns_well_inside_the_window(self, outcome):
+        docs = [make_levenshtein(48, seed=0), make_levenshtein(48, seed=1)]
+        with self._service() as svc:
+            svc.map(docs)  # warm: cached, and registered as delta bases
+            drained = []
+            drain = svc._drain_compatible
+
+            def spy(leader, key):
+                drained.append(leader)
+                return drain(leader, key)
+
+            svc._drain_compatible = spy
+            if outcome == "expired":
+                request = SolveRequest(make_levenshtein(48, seed=2),
+                                       timeout=1e-6)
+            else:
+                problem = docs[0] if outcome == "hit" else _edited(docs[0])
+                request = SolveRequest(problem)
+            started = time.monotonic()
+            pending = svc.submit(request)
+            # The worker-side outcome: result() would raise client-side as
+            # soon as the expired request's own deadline passes.
+            exc = pending._future.exception(timeout=10.0)
+            elapsed = time.monotonic() - started
+        assert elapsed < 0.5, f"{outcome} waited {elapsed:.2f} s"
+        assert drained == []  # a settled leader never drains
+        if outcome == "expired":
+            assert isinstance(exc, ServiceTimeout)
+            assert "in the queue" in str(exc)
+            return
+        assert exc is None
+        result = pending.result()
+        if outcome == "hit":
+            assert pending.cache_hit is True
+        else:
+            assert result.stats["solver"] == "delta"
+        oracle = Framework(hetero_high()).solve(problem, executor="sequential")
+        assert np.array_equal(result.table, oracle.table)
+
+    def test_executing_leader_still_waits_for_company(self):
+        # A shape with no cached base: both requests miss and execute.
+        docs = [make_levenshtein(40, seed=s) for s in range(2)]
+        with self._service() as svc:
+            first = svc.submit(SolveRequest(docs[0]))
+            time.sleep(0.2)  # the leader is already waiting in its window
+            second = svc.submit(SolveRequest(docs[1]))
+            results = [first.result(timeout=10.0), second.result(timeout=10.0)]
+        assert [r.stats.get("batched") for r in results] == [2, 2]
+        for problem, result in zip(docs, results):
+            oracle = Framework(hetero_high()).solve(problem,
+                                                    executor="sequential")
+            assert np.array_equal(result.table, oracle.table)
 
 
 # -- the cache in isolation ----------------------------------------------------

@@ -162,6 +162,33 @@ class TestPricer:
         assert pricer.predict(10.0, "hetero", True) == pytest.approx(30.0)
         assert pricer.calibration() == {"hetero:solve": pytest.approx(3.0)}
 
+    def test_price_error_divides_by_the_pre_update_prediction(self):
+        pricer = Pricer(Framework(), alpha=0.5)
+        # seed ratio 1.0: predicted 2 s, observed 8 s -> 4.0; ratio 4.0
+        pricer.observe("hetero", True, units=2.0, wall=8.0)
+        # predicted 2 * 4.0 = 8 s, observed 4 s -> 0.5; ratio 3.0
+        pricer.observe("hetero", True, units=2.0, wall=4.0)
+        # predicted 1 * 3.0 = 3 s, observed 3 s -> 1.0
+        pricer.observe("hetero", True, units=1.0, wall=3.0)
+        # the estimate seed (0.05 s/unit) predicted this one exactly
+        pricer.observe("cpu", False, units=1.0, wall=0.05)
+        pricer.observe("cpu", False, units=0.0, wall=1.0)  # ignored
+        error = pricer.price_error()
+        assert list(error) == ["cpu:estimate", "hetero:solve"]
+        assert error["cpu:estimate"] == {"count": 1, "p50": 1.0, "p90": 1.0}
+        solve = error["hetero:solve"]
+        assert solve["count"] == 3
+        # Bucket upper bounds, ten per decade: within 26% above the ratio.
+        assert 1.0 <= solve["p50"] < 1.0 * 1.26
+        assert 4.0 <= solve["p90"] < 4.0 * 1.26
+
+    def test_price_error_skips_a_zero_prediction(self):
+        pricer = Pricer(Framework(), alpha=1.0)
+        pricer.observe("cpu", True, units=1.0, wall=0.0)  # ratio -> 0
+        pricer.observe("cpu", True, units=1.0, wall=2.0)  # predicted 0 s
+        assert pricer.price_error()["cpu:solve"]["count"] == 1
+        assert pricer.ratio("cpu", True) == pytest.approx(2.0)
+
     def test_estimate_seeded_cheaper_than_solve(self):
         pricer = Pricer(Framework())
         assert pricer.ratio("hetero", False) < pricer.ratio("hetero", True)
@@ -521,9 +548,11 @@ class TestServiceAdmission:
             slo = stats["slo"]
             for key in ("admitted", "shed", "downgraded", "quota_rejected",
                         "scale_ups", "scale_downs", "backlog_wall_s",
-                        "latency_ewma_ms", "calibration", "tenants"):
+                        "latency_ewma_ms", "calibration", "price_error",
+                        "tenants"):
                 assert key in slo
             assert "hetero:solve" in slo["calibration"]
+            assert slo["price_error"]["hetero:solve"]["count"] >= 1
 
     def test_stats_has_no_slo_section_without_policy(self):
         with SolveService(config=ServiceConfig(workers=1)) as svc:

@@ -91,7 +91,7 @@ class TestSoakRun:
                 "failed", "downgraded", "admitted", "attainment", "buckets",
                 "scale_ups", "scale_downs", "max_workers_seen",
                 "final_workers", "workers_started",
-                "workers_alive_after_close", "calibration",
+                "workers_alive_after_close", "calibration", "price_error",
             ):
                 assert key in stats, f"{phase} missing {key}"
         assert report["scheduled_requests"] > 0
