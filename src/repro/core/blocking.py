@@ -19,13 +19,12 @@ multicore algorithms, specialized to the paper's four patterns.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import ScheduleError
+from ..lru import LRU, CacheInfo
 from ..types import Pattern
 from .schedule import WavefrontSchedule, schedule_for
 
@@ -220,30 +219,18 @@ class SkewedBlockGrid:
 # (no object identities), so any two problems with the same computed shape
 # share one grid object.
 
-_CACHE_LOCK = threading.Lock()
-_GRID_CACHE: "OrderedDict[tuple, BlockGrid | SkewedBlockGrid]" = OrderedDict()
-_GRID_CACHE_CAP = 128
-_cache_hits = 0
-_cache_misses = 0
-
-BlockingCacheInfo = namedtuple("BlockingCacheInfo", "hits misses size capacity")
+_GRID_CACHE = LRU(128)
 
 
-def blocking_cache_info() -> BlockingCacheInfo:
+def blocking_cache_info() -> CacheInfo:
     """Hit/miss/size counters of the grid cache (for tests/diagnostics)."""
-    with _CACHE_LOCK:
-        return BlockingCacheInfo(
-            _cache_hits, _cache_misses, len(_GRID_CACHE), _GRID_CACHE_CAP
-        )
+    return _GRID_CACHE.info()
 
 
 def clear_blocking_cache() -> None:
     """Drop all cached grids and reset the counters."""
-    global _cache_hits, _cache_misses
-    with _CACHE_LOCK:
-        _GRID_CACHE.clear()
-        _cache_hits = 0
-        _cache_misses = 0
+    global _GRID_CACHE
+    _GRID_CACHE = LRU(_GRID_CACHE.capacity)
 
 
 def grid_for(
@@ -260,26 +247,16 @@ def grid_for(
     ignored — skewed tiles always run under the tile-level anti-diagonal);
     otherwise a :class:`BlockGrid` scheduled by ``pattern`` (required).
     """
-    global _cache_hits, _cache_misses
     if not skewed and pattern is None:
         raise ScheduleError("square grids need a block-level pattern")
     key = (skewed, None if skewed else pattern, rows, cols, block)
-    with _CACHE_LOCK:
-        grid = _GRID_CACHE.get(key)
-        if grid is not None:
-            _GRID_CACHE.move_to_end(key)
-            _cache_hits += 1
-            return grid
-        _cache_misses += 1
-
+    grid = _GRID_CACHE.get(key)
+    if grid is not None:
+        return grid
     grid = (
         SkewedBlockGrid(rows, cols, block)
         if skewed
         else BlockGrid(pattern, rows, cols, block)
     )
-
-    with _CACHE_LOCK:
-        _GRID_CACHE[key] = grid
-        while len(_GRID_CACHE) > _GRID_CACHE_CAP:
-            _GRID_CACHE.popitem(last=False)
+    _GRID_CACHE.put(key, grid)
     return grid

@@ -12,13 +12,11 @@ degrades to the generic span path — counted as ``kernels.plan.degraded``.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-
 from ..core.problem import LDDPProblem
 from ..core.schedule import WavefrontSchedule
 from ..errors import InjectedFault
 from ..faults import check_fault
+from ..lru import LRU
 from ..obs import get_metrics
 from .key import PlanKey
 from .plan import KernelPlan
@@ -39,22 +37,18 @@ class PlanCache:
     """Bounded LRU of :class:`KernelPlan` keyed on plan identity."""
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self.capacity = capacity
-        self._lock = threading.Lock()
-        self._plans: OrderedDict[tuple, KernelPlan] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
+        self._plans = LRU(capacity)
+
+    capacity = property(lambda self: self._plans.capacity)
+    hits = property(lambda self: self._plans.hits)
+    misses = property(lambda self: self._plans.misses)
 
     def __len__(self) -> int:
         return len(self._plans)
 
     def clear(self) -> None:
-        with self._lock:
-            self._plans.clear()
-            self.hits = 0
-            self.misses = 0
+        """Drop every plan and reset the counters."""
+        self._plans = LRU(self._plans.capacity)
 
     def get(
         self,
@@ -98,15 +92,10 @@ class PlanCache:
             # fault here means "no plan available" -> generic path.
             metrics.counter("kernels.plan.degraded").inc()
             return None
-        with self._lock:
-            plan = self._plans.get(raw)
-            if plan is not None:
-                self._plans.move_to_end(raw)
-                self.hits += 1
-                metrics.counter("kernels.plan.hits").inc()
-                return plan
-            self.misses += 1
-
+        plan = self._plans.get(raw)
+        if plan is not None:
+            metrics.counter("kernels.plan.hits").inc()
+            return plan
         metrics.counter("kernels.plan.misses").inc()
         try:
             key = PlanKey(
@@ -129,15 +118,10 @@ class PlanCache:
             metrics.counter("kernels.plan.degraded").inc()
             return None
         metrics.counter("kernels.plan.compiled").inc()
-        with self._lock:
-            existing = self._plans.get(raw)
-            if existing is not None:  # lost a compile race: keep the first
-                self._plans.move_to_end(raw)
-                return existing
-            self._plans[raw] = plan
-            while len(self._plans) > self.capacity:
-                self._plans.popitem(last=False)
-                metrics.counter("kernels.plan.evicted").inc()
+        # a lost compile race keeps the first plan
+        plan, evicted = self._plans.put_if_absent(raw, plan)
+        if evicted:
+            metrics.counter("kernels.plan.evicted").inc(len(evicted))
         return plan
 
 

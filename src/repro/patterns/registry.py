@@ -9,12 +9,10 @@ benchmark flips the flag to reproduce that experiment).
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict, namedtuple
-
 from ..core.classification import classify
 from ..core.problem import LDDPProblem
 from ..errors import ClassificationError
+from ..lru import LRU, CacheInfo
 from ..types import Pattern
 from .antidiagonal import AntiDiagonalStrategy
 from .base import PatternStrategy
@@ -57,30 +55,18 @@ def strategy_class_for(pattern: Pattern) -> type[PatternStrategy]:
 # collection can only ever collide with an identically-shaped problem, for
 # which the cached strategy is still correct) and the two override flags.
 
-_CACHE_LOCK = threading.Lock()
-_STRATEGY_CACHE: "OrderedDict[tuple, PatternStrategy]" = OrderedDict()
-_STRATEGY_CACHE_CAP = 128
-_cache_hits = 0
-_cache_misses = 0
-
-StrategyCacheInfo = namedtuple("StrategyCacheInfo", "hits misses size capacity")
+_STRATEGY_CACHE = LRU(128)
 
 
-def strategy_cache_info() -> StrategyCacheInfo:
+def strategy_cache_info() -> CacheInfo:
     """Hit/miss/size counters of the strategy cache (for tests/diagnostics)."""
-    with _CACHE_LOCK:
-        return StrategyCacheInfo(
-            _cache_hits, _cache_misses, len(_STRATEGY_CACHE), _STRATEGY_CACHE_CAP
-        )
+    return _STRATEGY_CACHE.info()
 
 
 def clear_strategy_cache() -> None:
     """Drop all cached strategies and reset the counters."""
-    global _cache_hits, _cache_misses
-    with _CACHE_LOCK:
-        _STRATEGY_CACHE.clear()
-        _cache_hits = 0
-        _cache_misses = 0
+    global _STRATEGY_CACHE
+    _STRATEGY_CACHE = LRU(_STRATEGY_CACHE.capacity)
 
 
 def strategy_for(
@@ -105,18 +91,13 @@ def strategy_for(
         inverted-L / mInverted-L execute under the horizontal pattern:
         same iteration count, uniform widths, coalescing-friendly rows.
     """
-    global _cache_hits, _cache_misses
     key = (
         id(problem), problem.contributing.mask, problem.computed_shape,
         pattern_override, inverted_l_as_horizontal,
     )
-    with _CACHE_LOCK:
-        strategy = _STRATEGY_CACHE.get(key)
-        if strategy is not None:
-            _STRATEGY_CACHE.move_to_end(key)
-            _cache_hits += 1
-            return strategy
-        _cache_misses += 1
+    strategy = _STRATEGY_CACHE.get(key)
+    if strategy is not None:
+        return strategy
 
     pattern = pattern_override or classify(problem.contributing)
     if pattern_override is None and inverted_l_as_horizontal:
@@ -124,9 +105,5 @@ def strategy_for(
             pattern = Pattern.HORIZONTAL
     schedule = problem.schedule(pattern)
     strategy = strategy_class_for(pattern)(schedule, problem.contributing)
-
-    with _CACHE_LOCK:
-        _STRATEGY_CACHE[key] = strategy
-        while len(_STRATEGY_CACHE) > _STRATEGY_CACHE_CAP:
-            _STRATEGY_CACHE.popitem(last=False)
+    _STRATEGY_CACHE.put(key, strategy)
     return strategy

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 import threading
-from collections import OrderedDict
 from dataclasses import replace
 from typing import Any, Mapping
 
@@ -32,6 +31,7 @@ import numpy as np
 
 from ..delta.diff import payload_distance
 from ..exec.base import SolveResult
+from ..lru import LRU
 
 __all__ = ["ResultCache", "BASES_PER_KEY"]
 
@@ -74,34 +74,20 @@ class ResultCache:
     """
 
     def __init__(self, capacity: int = 128) -> None:
-        if capacity < 1:
-            raise ValueError(f"cache capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._entries: OrderedDict[str, SolveResult] = OrderedDict()
-        # Every base under its own token, least recently used first, and
-        # each near-match key's tokens, most recently used first.
-        self._bases: OrderedDict[
-            int, tuple[str, Mapping[str, Any], SolveResult]
-        ] = OrderedDict()
+        self._entries = LRU(capacity)
+        # Every base under its own token as ``(token, base_key, payload,
+        # frozen)``, and each near-match key's tokens, most recent first.
+        self._bases = LRU(capacity)
         self._lineages: dict[str, list[int]] = {}
         self._tokens = itertools.count()
-        self._lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
+        self._lock = threading.Lock()  # the base index and delta counters
         self._delta_candidates = 0
         self._delta_hits = 0
 
     def get(self, key: str) -> SolveResult | None:
         """The cached result for ``key`` (a fresh copy), or ``None``."""
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self._misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self._hits += 1
-        return _thaw(entry)
+        entry = self._entries.get(key)
+        return None if entry is None else _thaw(entry)
 
     def put(
         self,
@@ -124,45 +110,30 @@ class ResultCache:
         than :data:`BASES_PER_KEY` bases drops its least recently used one.
         """
         frozen = _freeze(result)
+        self._entries.put(key, frozen)
+        if base_key is None or payload is None:
+            return
         with self._lock:
-            self._entries[key] = frozen
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self._evictions += 1
-            if base_key is not None and payload is not None:
-                tokens = self._lineages.setdefault(base_key, [])
-                token = None
-                if supersedes is not None:
-                    token = next(
-                        (t for t in tokens if self._bases[t][1] is supersedes),
-                        None,
-                    )
-                if token is None:
-                    token = next(self._tokens)
-                    tokens.insert(0, token)
-                self._bases[token] = (base_key, payload, frozen)
-                self._touch(token)
-                if len(tokens) > BASES_PER_KEY:
-                    self._drop_base(tokens[-1])
-                while len(self._bases) > self.capacity:
-                    self._drop_base(next(iter(self._bases)))
-
-    def _touch(self, token: int) -> None:
-        """Mark one base most recently used (lock held)."""
-        self._bases.move_to_end(token)
-        tokens = self._lineages[self._bases[token][0]]
-        if tokens[0] != token:
-            tokens.remove(token)
+            tokens = self._lineages.setdefault(base_key, [])
+            if supersedes is not None:
+                old = next(
+                    (t for t in tokens
+                     if self._bases.peek(t)[2] is supersedes),
+                    None,
+                )
+                if old is not None:
+                    tokens.remove(old)
+                    self._bases.pop(old)
+            token = next(self._tokens)
             tokens.insert(0, token)
-
-    def _drop_base(self, token: int) -> None:
-        """Remove one base from the index (lock held)."""
-        base_key = self._bases.pop(token)[0]
-        tokens = self._lineages[base_key]
-        tokens.remove(token)
-        if not tokens:
-            del self._lineages[base_key]
+            if len(tokens) > BASES_PER_KEY:
+                self._bases.pop(tokens.pop())
+            evicted = self._bases.put(token, (token, base_key, payload, frozen))
+            for old, old_key, *_ in evicted:
+                lineage = self._lineages[old_key]
+                lineage.remove(old)
+                if not lineage:
+                    del self._lineages[old_key]
 
     def get_base(
         self, base_key: str, payload: Mapping[str, Any] | None = None
@@ -183,15 +154,17 @@ class ResultCache:
             tokens = self._lineages.get(base_key)
             if not tokens:
                 return None
-            bases = [(t, *self._bases[t][1:]) for t in tokens]
+            bases = [self._bases.peek(t) for t in tokens]
         best = bases[0]
         if payload is not None and len(bases) > 1:
             # Compare outside the lock: payloads are immutable snapshots.
-            best = min(bases, key=lambda b: payload_distance(b[1], payload))
-        token, base_payload, frozen = best
+            best = min(bases, key=lambda b: payload_distance(b[2], payload))
+        token, _, base_payload, frozen = best
         with self._lock:
-            if token in self._bases:
-                self._touch(token)
+            if self._bases.get(token) is not None:  # still indexed: touch
+                tokens = self._lineages[base_key]
+                tokens.remove(token)
+                tokens.insert(0, token)
             self._delta_candidates += 1
         return base_payload, frozen
 
@@ -212,24 +185,15 @@ class ResultCache:
             self._lineages.clear()
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._entries)
 
     def __contains__(self, key: str) -> bool:
-        with self._lock:
-            return key in self._entries
+        return key in self._entries
 
-    @property
-    def hits(self) -> int:
-        return self._hits
-
-    @property
-    def misses(self) -> int:
-        return self._misses
-
-    @property
-    def evictions(self) -> int:
-        return self._evictions
+    capacity = property(lambda self: self._entries.capacity)
+    hits = property(lambda self: self._entries.hits)
+    misses = property(lambda self: self._entries.misses)
+    evictions = property(lambda self: self._entries.evictions)
 
     @property
     def delta_candidates(self) -> int:
@@ -240,13 +204,14 @@ class ResultCache:
         return self._delta_hits
 
     def stats(self) -> dict[str, int]:
+        info = self._entries.info()
         with self._lock:
             return {
-                "entries": len(self._entries),
-                "capacity": self.capacity,
-                "hits": self._hits,
-                "misses": self._misses,
-                "evictions": self._evictions,
+                "entries": info.size,
+                "capacity": info.capacity,
+                "hits": info.hits,
+                "misses": info.misses,
+                "evictions": self._entries.evictions,
                 "base_entries": len(self._bases),
                 "delta_candidates": self._delta_candidates,
                 "delta_hits": self._delta_hits,

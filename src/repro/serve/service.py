@@ -1061,8 +1061,9 @@ class SolveService:
         """Pull batch-compatible requests off the queue for up to the window.
 
         Returns at most ``max_batch - 1`` requests whose batch key equals
-        ``key``, removing them from the queue (incompatible entries are left
-        untouched, in priority order). Waits on the queue condition until
+        ``key`` in queue order — ``(priority, order, seq)``, so FIFO within
+        a priority — removing them from the queue (incompatible entries are
+        left untouched). Waits on the queue condition until
         the coalescing window — capped by the leader's own deadline —
         closes, the batch fills, or the service closes.
         """
@@ -1074,7 +1075,7 @@ class SolveService:
             while True:
                 keep = []
                 took = False
-                for entry in self._queue:
+                for entry in sorted(self._queue):
                     if (
                         len(members) + 1 < self.max_batch
                         and self._batch_key_of(entry[-1]) == key
@@ -1084,8 +1085,7 @@ class SolveService:
                         took = True
                     else:
                         keep.append(entry)
-                if took:
-                    keep.sort()  # a sorted list is a valid heap
+                if took:  # kept in sorted order: still a valid heap
                     self._queue[:] = keep
                     get_metrics().gauge("serve.queue.depth").set(len(keep))
                 if len(members) + 1 >= self.max_batch or self._closed:

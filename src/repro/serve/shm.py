@@ -35,12 +35,12 @@ from __future__ import annotations
 
 import threading
 import weakref
-from collections import OrderedDict
 from multiprocessing import shared_memory
 
 import numpy as np
 
 from ..exec.base import SolveResult
+from ..lru import LRU
 
 __all__ = [
     "ShmSegment",
@@ -107,6 +107,13 @@ def _adopt(name: str) -> ShmSegment:
         if seg is None:
             seg = _REGISTRY[name] = ShmSegment(name)
     return seg
+
+
+def _release(entries) -> None:
+    """Drop the segment reference of each ``(meta, descriptor)`` entry."""
+    for _, descriptor in entries:
+        if descriptor is not None:
+            _adopt(descriptor["segment"]).release()
 
 
 def live_segment_count() -> int:
@@ -229,27 +236,15 @@ class SegmentIndex:
     """
 
     def __init__(self, capacity: int = 128) -> None:
-        if capacity < 1:
-            raise ValueError(f"cache capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._entries: OrderedDict[str, tuple[SolveResult, dict | None]] = (
-            OrderedDict()
-        )
-        self._lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
+        # request key -> (array-stripped result, segment descriptor | None)
+        self._entries = LRU(capacity)
 
     def get(self, key: str) -> SolveResult | None:
         """A zero-copy read-only view of the cached result, or ``None``."""
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self._misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self._hits += 1
-            meta, descriptor = entry
+        entry = self._entries.get(key)
+        if entry is None:
+            return None
+        meta, descriptor = entry
         result = materialize_result(meta, descriptor)
         result.stats["transport"] = "shm-index" if descriptor else "index"
         return result
@@ -277,56 +272,32 @@ class SegmentIndex:
             meta = dataclasses.replace(
                 result, table=None, aux={}, stats=stats
             )
-        evicted: list[tuple[SolveResult, dict | None]] = []
-        with self._lock:
-            if descriptor is not None:
-                _adopt(descriptor["segment"]).acquire()
-            old = self._entries.pop(key, None)
-            if old is not None:
-                evicted.append(old)
-            self._entries[key] = (meta, descriptor)
-            while len(self._entries) > self.capacity:
-                evicted.append(self._entries.popitem(last=False)[1])
-                self._evictions += 1
-        for _, desc in evicted:
-            if desc is not None:
-                _adopt(desc["segment"]).release()
+        if descriptor is not None:
+            _adopt(descriptor["segment"]).acquire()
+        # displaced entries release their segments outside the index lock
+        _release(self._entries.put(key, (meta, descriptor)))
 
     def clear(self) -> None:
-        with self._lock:
-            entries = list(self._entries.values())
-            self._entries.clear()
-        for _, desc in entries:
-            if desc is not None:
-                _adopt(desc["segment"]).release()
+        _release(self._entries.clear())
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._entries)
 
     def __contains__(self, key: str) -> bool:
-        with self._lock:
-            return key in self._entries
+        return key in self._entries
 
-    @property
-    def hits(self) -> int:
-        return self._hits
-
-    @property
-    def misses(self) -> int:
-        return self._misses
-
-    @property
-    def evictions(self) -> int:
-        return self._evictions
+    capacity = property(lambda self: self._entries.capacity)
+    hits = property(lambda self: self._entries.hits)
+    misses = property(lambda self: self._entries.misses)
+    evictions = property(lambda self: self._entries.evictions)
 
     def stats(self) -> dict[str, int]:
-        with self._lock:
-            return {
-                "entries": len(self._entries),
-                "capacity": self.capacity,
-                "hits": self._hits,
-                "misses": self._misses,
-                "evictions": self._evictions,
-                "kind": "segment-index",
-            }
+        info = self._entries.info()
+        return {
+            "entries": info.size,
+            "capacity": info.capacity,
+            "hits": info.hits,
+            "misses": info.misses,
+            "evictions": self._entries.evictions,
+            "kind": "segment-index",
+        }

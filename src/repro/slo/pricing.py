@@ -30,11 +30,11 @@ refinements turn that into a wall-clock predictor:
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 
 from ..core.partition import HeteroParams
 from ..core.problem import LDDPProblem
 from ..exec.base import ExecOptions
+from ..lru import LRU
 from ..obs import Histogram, get_metrics
 
 __all__ = ["Pricer"]
@@ -43,6 +43,9 @@ __all__ = ["Pricer"]
 #: ``(executor, functional)`` pair: solves fill tables (expensive), estimates
 #: only run the timing model.  Calibration replaces these within one request.
 _SEED_RATIO = {True: 1.0, False: 0.05}
+
+#: The price LRU's miss marker: ``None`` is a cached "unpriceable".
+_MISS = object()
 
 #: ``slo.price.error`` bucket bounds: ten per decade from 1e-4 to 1e4, so a
 #: percentile is within about 26% of the observed ÷ predicted ratio.
@@ -58,14 +61,11 @@ class Pricer:
 
     def __init__(self, framework, *, cache_size: int = 512,
                  alpha: float = 0.2) -> None:
-        if cache_size < 1:
-            raise ValueError(f"cache_size must be >= 1, got {cache_size}")
         if not 0.0 < alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {alpha}")
         self.framework = framework
         self.alpha = alpha
-        self._cache_size = cache_size
-        self._prices: OrderedDict[str, float | None] = OrderedDict()
+        self._prices = LRU(cache_size)
         self._ratios: dict[tuple[str, bool], float] = {}
         self._errors: dict[tuple[str, bool], Histogram] = {}
         self._lock = threading.Lock()
@@ -104,11 +104,10 @@ class Pricer:
         """
         metrics = get_metrics()
         if key is not None:
-            with self._lock:
-                if key in self._prices:
-                    self._prices.move_to_end(key)
-                    metrics.counter("slo.price.cached").inc()
-                    return self._prices[key]
+            units = self._prices.get(key, _MISS)
+            if units is not _MISS:
+                metrics.counter("slo.price.cached").inc()
+                return units
         try:
             units = self._priced(
                 problem, options or self.framework.options, params, executor,
@@ -118,11 +117,7 @@ class Pricer:
             units = None
         metrics.counter("slo.price.computed").inc()
         if key is not None:
-            with self._lock:
-                self._prices[key] = units
-                self._prices.move_to_end(key)
-                while len(self._prices) > self._cache_size:
-                    self._prices.popitem(last=False)
+            self._prices.put(key, units)
         return units
 
     def _priced(

@@ -575,11 +575,11 @@ class TestLifecycleEquivalence:
         expected_counts = dict.fromkeys(_COUNTERS, 0)
         expected_counts["serve.requests.completed"] = 1  # the blocker
         if window:
-            # The targets really were one drained set, led by the head
-            # (drained in queue-heap order, not necessarily submit order).
+            # The targets really were one drained set, led by the head and
+            # claimed in submit order.
             [members] = sets
             assert members[0] is head
-            assert sorted(map(id, members[1:])) == sorted(map(id, pending))
+            assert list(map(id, members[1:])) == list(map(id, pending))
             # The head's own known contribution: one uncached completion
             # (down-tiered with the targets in the downgraded case).
             head_span = {k: None for k in _SPAN_ATTRS}
@@ -633,6 +633,44 @@ class TestLifecycleEquivalence:
                             downgraded="executor 'hetero' -> 'cpu'")
         assert counts == expected_counts
         assert spans["target"] == [span] * 3
+
+
+class TestDrainOrder:
+    def test_equal_priority_members_claimed_in_submit_order(self):
+        """Three compatible requests queued in order behind a leader are
+        drained FIFO, whatever the queue heap's array order is."""
+        entered, release = threading.Event(), threading.Event()
+        sets: list[list] = []
+        cfg = ServiceConfig(workers=1, coalesce_window=0.05)
+        with SolveService(hetero_high(), config=cfg) as svc:
+            process_batch = svc._process_batch
+
+            def spy(members, **kwargs):
+                if members[0].request.problem.name != "gate":
+                    sets.append(list(members))
+                process_batch(members, **kwargs)
+
+            svc._process_batch = spy
+            hold = svc.submit(SolveRequest(
+                _gate_problem(entered, release), executor="cpu",
+                cacheable=False,
+            ))
+            assert entered.wait(timeout=10.0)
+            head = svc.submit(SolveRequest(
+                make_costs_problem(costs(seed=9), name="head"),
+                cacheable=False,
+            ))
+            pending = [
+                svc.submit(SolveRequest(make_costs_problem(costs(seed=k))))
+                for k in range(3)
+            ]
+            release.set()
+            hold.result()
+            results = [p.result() for p in [head, *pending]]
+        [members] = sets
+        assert members[0] is head
+        assert list(map(id, members[1:])) == list(map(id, pending))
+        assert all(r.stats.get("batched") == 4 for r in results)
 
 
 class TestClaimBeforeCoalescing:

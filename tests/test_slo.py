@@ -485,9 +485,12 @@ class TestServiceAdmission:
                     )))
                 except (AdmissionRejected, QuotaExceeded):
                     pass  # only legal at submit()
-            for p in pending:
-                exc = p.exception()
-                assert not isinstance(exc, (AdmissionRejected, QuotaExceeded))
+        # Read after close() has settled every request: a request still
+        # queued past its own deadline would raise ServiceTimeout from a
+        # client-side wait instead of returning the stored outcome.
+        for p in pending:
+            exc = p.exception()
+            assert not isinstance(exc, (AdmissionRejected, QuotaExceeded))
 
     def test_estimate_downgrade_marks_pending_and_skips_table(self):
         policy = strict_policy(downgrade_executor={})

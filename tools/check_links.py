@@ -1,11 +1,14 @@
 #!/usr/bin/env python
 """Fail on dead intra-repo links in README and docs (CI gate).
 
-Scans every tracked markdown file for inline links and validates the local
-ones: relative file targets must exist (anchors are stripped; ``#section``
-fragments are not resolved against headings), and bare in-repo file
+Scans the project's root documents (``_ROOT_DOCS``) and the ``docs/``
+markdown files for inline links and validates the local ones: relative
+file targets must exist (anchors are stripped; ``#section`` fragments are
+not resolved against headings), and bare in-repo file
 mentions like ``docs/foo.md`` inside backticks are checked too. External
 links (http/https/mailto) are ignored — CI must not depend on the network.
+Other root markdown files are not documentation and are not scanned: a
+change request, say, names the files the change deletes.
 
 Usage::
 
@@ -25,10 +28,20 @@ _MD_LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 # `docs/foo.md` / `benchmarks/bench_x.py` style inline-code file mentions
 _CODE_PATH = re.compile(r"`([A-Za-z0-9_./-]+\.(?:md|py|json|yml|toml|svg))`")
 _EXTERNAL = ("http://", "https://", "mailto:", "chrome://")
+_ROOT_DOCS = (
+    "CHANGES.md",
+    "DESIGN.md",
+    "EXPERIMENTS.md",
+    "PAPER.md",
+    "PAPERS.md",
+    "README.md",
+    "ROADMAP.md",
+    "SNIPPETS.md",
+)
 
 
 def _iter_markdown(root: Path):
-    yield from sorted(root.glob("*.md"))
+    yield from (root / name for name in _ROOT_DOCS if (root / name).exists())
     yield from sorted((root / "docs").glob("*.md"))
 
 
