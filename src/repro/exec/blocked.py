@@ -28,10 +28,10 @@ from functools import lru_cache
 import numpy as np
 
 from ..core.blocking import Block, SkewedBlock, grid_for
-from ..core.cellfunc import EvalContext, gather_neighbors
 from ..core.problem import LDDPProblem
 from ..core.schedule import schedule_for
 from ..errors import ExecutionError
+from ..kernels import evaluate_cells
 from ..machine.platform import Platform
 from ..obs import get_metrics, get_tracer
 from ..patterns.registry import strategy_for
@@ -63,15 +63,6 @@ def _local_schedule(pattern, rows: int, cols: int):
     ``evaluate_span``'s one-entry hot-state memo effective across tiles.
     """
     return schedule_for(pattern, rows, cols)
-
-
-def _evaluate_batch(problem, table, aux, gi, gj) -> None:
-    nb = gather_neighbors(table, problem.contributing, gi, gj, problem.oob_value)
-    ctx = EvalContext(
-        i=gi, j=gj, w=nb["w"], nw=nb["nw"], n=nb["n"], ne=nb["ne"],
-        payload=problem.payload, aux=aux,
-    )
-    table[gi, gj] = problem.cell(ctx)
 
 
 def evaluate_block(
@@ -124,10 +115,9 @@ def evaluate_skewed_block(
             continue
         ci = np.arange(i_hi, i_lo - 1, -1, dtype=np.int64)
         cj = v - 2 * ci
-        gi = ci + problem.fixed_rows
-        gj = cj + problem.fixed_cols
-        _evaluate_batch(problem, table, aux, gi, gj)
-        done += gi.shape[0]
+        done += evaluate_cells(
+            problem, table, aux, ci + problem.fixed_rows, cj + problem.fixed_cols
+        )
     return done
 
 

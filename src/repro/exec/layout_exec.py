@@ -9,13 +9,18 @@ slice, writes are `flat[a:b] = values`, and each neighbour read is a
 coalesced GPU kernel would see. It exists to prove the layout is
 functionally complete (bit-identical tables) and to give the coalescing
 ablation a real end-to-end functional code path, not just microbenchmarks.
+
+The read-compute-store loop is :func:`repro.exec.streaming.sweep`, shared
+with the streaming solver: this executor hands it the flat array, so every
+wavefront slice is kept, and each computed-region read lands at
+``starts[t - delta] + position`` (``AddressMap.flat_of``) through one read
+geometry per wavefront (``KernelPlan.read_geometry``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..core.cellfunc import EvalContext
 from ..core.problem import LDDPProblem
 from ..kernels import plan_for
 from ..memory.layout import WavefrontLayout
@@ -23,6 +28,7 @@ from ..obs import get_metrics, get_tracer
 from ..patterns.registry import strategy_for
 from ..sim.engine import Engine
 from .base import Executor, SolveResult, check_control, register_executor
+from .streaming import sweep
 
 __all__ = ["WavefrontMajorExecutor"]
 
@@ -40,7 +46,6 @@ class WavefrontMajorExecutor(Executor):
         )
         schedule = strategy.schedule
         layout = WavefrontLayout(schedule)
-        rows, cols = problem.shape
         fr, fc = problem.fixed_rows, problem.fixed_cols
         what = f"solve of {problem.name!r}"
 
@@ -51,7 +56,6 @@ class WavefrontMajorExecutor(Executor):
             functional=functional, flat_cells=layout.size,
         )
         table = aux = None
-        flat = None
         try:
             if functional:
                 # boundary values still live in 2-D (they are not wavefront
@@ -61,76 +65,15 @@ class WavefrontMajorExecutor(Executor):
                 aux = problem.make_aux()
                 flat = np.zeros(layout.size, dtype=problem.dtype)
 
-                # Compiled plan: caches per-wavefront global indices, the
-                # fixed-vs-computed source split and the wavefront-major flat
-                # offsets, so steady-state wavefronts skip every mask and
-                # flat_of computation (counted as kernels.span.fast).
                 plan = (
                     plan_for(problem, schedule)
                     if self.options.kernel_fastpath else None
                 )
-                metrics = get_metrics()
-                fast_spans = metrics.counter("kernels.span.fast")
-                generic_spans = metrics.counter("kernels.span.generic")
-
-                for t in range(schedule.num_iterations):
-                    check_control(self.options, what)
-                    if schedule.width(t) == 0:
-                        continue
-                    kwargs: dict[str, np.ndarray | None] = {
-                        "w": None, "nw": None, "n": None, "ne": None
-                    }
-                    if plan is not None:
-                        gi, gj, geo = plan.layout_geometry(t, layout.address)
-                        wf = tracer.span(
-                            "wavefront", cat="wavefront", t=t,
-                            width=int(gi.shape[0]),
-                        )
-                        fast_spans.inc()
-                        for nb in problem.contributing:
-                            g = geo[nb.value.lower()]
-                            vals = np.full(
-                                gi.shape, problem.oob_value, dtype=problem.dtype
-                            )
-                            if g.fixed_i.size:
-                                vals[g.fixed] = table[g.fixed_i, g.fixed_j]
-                            if g.win_flat.size:
-                                vals[g.win] = flat[g.win_flat]
-                            kwargs[nb.value.lower()] = vals
-                    else:
-                        ci, cj = schedule.cells(t)
-                        wf = tracer.span(
-                            "wavefront", cat="wavefront", t=t,
-                            width=int(ci.shape[0]),
-                        )
-                        generic_spans.inc()
-                        gi = ci + fr
-                        gj = cj + fc
-                        for nb in problem.contributing:
-                            di, dj = nb.offset
-                            ni, nj = gi + di, gj + dj
-                            vals = np.full(
-                                gi.shape, problem.oob_value, dtype=problem.dtype
-                            )
-                            oob = (ni < 0) | (ni >= rows) | (nj < 0) | (nj >= cols)
-                            fixed = ~oob & ((ni < fr) | (nj < fc))
-                            flat_src = ~oob & ~fixed
-                            if fixed.any():
-                                vals[fixed] = table[ni[fixed], nj[fixed]]
-                            if flat_src.any():
-                                offs = layout.address.flat_of(
-                                    ni[flat_src] - fr, nj[flat_src] - fc
-                                )
-                                vals[flat_src] = flat[offs]
-                            kwargs[nb.value.lower()] = vals
-                    ctx = EvalContext(
-                        i=gi, j=gj, payload=problem.payload, aux=aux, **kwargs
-                    )
-                    a, b = layout.address.span(t)
-                    flat[a:b] = np.asarray(problem.cell(ctx)).astype(
-                        problem.dtype, copy=False
-                    )
-                    wf.end()
+                for _ in sweep(
+                    problem, schedule, plan, table[:fr], table[fr:, :fc], aux,
+                    lambda: check_control(self.options, what), flat=flat,
+                ):
+                    pass
                 # unpack into the 2-D table for the caller
                 with tracer.span("unpack", cat="layout", cells=layout.size):
                     region = layout.from_flat(flat)

@@ -12,11 +12,18 @@ generalized to all six patterns and driven by the same schedules the
 executors use, so results are identical by construction (asserted in
 ``tests/test_streaming.py`` against full solves).
 
+The loop itself is :func:`sweep`, shared with the ``cpu-wavefront-major``
+executor (:mod:`repro.exec.layout_exec`): the two differ only in storage
+policy — a rolling window of wavefronts here, every wavefront kept in one
+flat wavefront-major array there.
+
 What you get back:
 
 * the final wavefront's values (for horizontal patterns that is the last
   row — e.g. the full last row of an edit-distance table);
 * any explicitly tracked cells (e.g. the bottom-right corner);
+* the full-size aux outputs the cell function wrote (e.g. dithering's
+  output image);
 * an optional running reduction over every computed value (e.g. ``max`` for
   Smith-Waterman's best local score);
 * the peak number of cells resident, to verify the memory claim.
@@ -25,20 +32,21 @@ What you get back:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
 from ..cancel import CancelToken, raise_if_cancelled
 from ..core.cellfunc import EvalContext
 from ..core.problem import LDDPProblem
-from ..errors import ExecutionError, ServiceTimeout, SolveCancelled
-from ..kernels import plan_for
+from ..core.schedule import WavefrontSchedule
+from ..errors import ExecutionError
+from ..kernels import KernelPlan, plan_for, read_geometry
 from ..obs import get_metrics, get_tracer
 from ..patterns.registry import strategy_for
-from ..types import Neighbor, Pattern
+from ..types import ContributingSet, Neighbor, Pattern
 
-__all__ = ["StreamingSolver", "StreamingResult"]
+__all__ = ["StreamingSolver", "StreamingResult", "sweep"]
 
 #: Wavefront-index delta of each representative cell, per executed pattern.
 #: Only offsets a pattern may legally read are listed (constant by linearity
@@ -53,6 +61,101 @@ _DELTAS: dict[Pattern, dict[Neighbor, int]] = {
         Neighbor.W: 1, Neighbor.NW: 3, Neighbor.N: 2, Neighbor.NE: 1
     },
 }
+
+
+def stream_window(pattern: Pattern, contributing: ContributingSet) -> int:
+    """How many trailing wavefronts the reads of ``contributing`` reach back."""
+    deltas = _DELTAS[pattern]
+    for nb in contributing:
+        if nb not in deltas:
+            raise ExecutionError(  # pragma: no cover - registry prevents it
+                f"pattern {pattern.value} cannot stream neighbour {nb.value}"
+            )
+    return max(deltas[nb] for nb in contributing)
+
+
+def sweep(
+    problem: LDDPProblem,
+    sched: WavefrontSchedule,
+    plan: KernelPlan | None,
+    top: np.ndarray,
+    left: np.ndarray,
+    aux: dict[str, np.ndarray],
+    check: Callable[[], None],
+    flat: np.ndarray | None = None,
+    kept: dict[int, np.ndarray] | None = None,
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """Compute ``sched``'s wavefronts in order, one cell call each.
+
+    Yields ``(t, gi, gj, values)`` for every non-empty wavefront from
+    inside its ``wavefront`` span. ``top`` holds the fixed top rows and
+    ``left`` the fixed left columns of the rows below them; they are packed
+    into one boundary vector so each neighbour costs one boundary gather.
+    A computed-region read is ``kept[t - delta][pos]``, with ``delta`` the
+    neighbour's constant wavefront distance (``_DELTAS``) and ``pos`` the
+    source's canonical position — ``AddressMap.flat_of`` by construction.
+
+    Storage policy: with ``flat`` (wavefront-major, ``problem``'s dtype)
+    every wavefront is written to its contiguous slice and every slice is
+    kept; without it only the last :func:`stream_window` wavefronts are
+    kept. ``kept`` is the caller's view of that storage.
+
+    ``plan`` memoises the read geometry per wavefront
+    (``kernels.span.fast``); without one the same geometry is derived per
+    wavefront (``kernels.span.generic``). ``check`` runs before every
+    wavefront (cooperative cancellation).
+    """
+    deltas = _DELTAS[sched.pattern]
+    window = stream_window(sched.pattern, problem.contributing)
+    kept = {} if kept is None else kept
+    boundary = np.concatenate((top.reshape(-1), left.reshape(-1)))
+    fr, fc = problem.fixed_rows, problem.fixed_cols
+    members = problem.contributing.members()
+    metrics = get_metrics()
+    fast_spans = metrics.counter("kernels.span.fast")
+    generic_spans = metrics.counter("kernels.span.generic")
+    tracer = get_tracer()
+    off = 0
+    for t in range(sched.num_iterations):
+        check()
+        w = int(sched.width(t))
+        if w == 0:
+            continue
+        with tracer.span("wavefront", cat="wavefront", t=t, width=w):
+            if plan is not None:
+                gi, gj, reads = plan.read_geometry(t)
+                fast_spans.inc()
+            else:
+                ci, cj = sched.cells(t)
+                gi, gj = ci + fr, cj + fc
+                reads = read_geometry(
+                    sched, members, problem.shape, (fr, fc), gi, gj
+                )
+                generic_spans.inc()
+            kwargs: dict[str, np.ndarray | None] = {
+                "w": None, "nw": None, "n": None, "ne": None
+            }
+            for g in reads:
+                vals = np.full(w, problem.oob_value, dtype=problem.dtype)
+                if g.fixed_off.size:
+                    vals[g.fixed] = boundary[g.fixed_off]
+                if g.win_pos.size:
+                    vals[g.win] = kept[t - deltas[g.nb]][g.win_pos]
+                kwargs[g.name] = vals
+            ctx = EvalContext(
+                i=gi, j=gj, payload=problem.payload, aux=aux, **kwargs
+            )
+            values = np.asarray(problem.cell(ctx)).astype(
+                problem.dtype, copy=False
+            )
+            if flat is not None:
+                flat[off:off + w] = values
+                values = flat[off:off + w]
+                off += w
+            else:
+                kept.pop(t - window, None)
+            kept[t] = values
+            yield t, gi, gj, values
 
 
 class _BoundaryRecorder:
@@ -130,6 +233,7 @@ class StreamingResult:
     reduced: Any = None
     peak_cells: int = 0
     total_cells: int = 0
+    aux: dict[str, np.ndarray] = field(default_factory=dict)
 
     @property
     def memory_fraction(self) -> float:
@@ -154,12 +258,13 @@ class StreamingSolver:
         track: list[tuple[int, int]] | None = None,
         pattern_override: Pattern | None = None,
         inverted_l_as_horizontal: bool = True,
-        kernel_fastpath: bool = True,
         deadline: float | None = None,
         cancel_token: CancelToken | None = None,
     ) -> StreamingResult:
         """Stream the recurrence; see the module docstring for the contract.
 
+        ``track`` lists global ``(i, j)`` cells of the computed region;
+        a cell outside it raises :class:`~repro.errors.ExecutionError`.
         ``deadline`` (absolute ``time.monotonic()``) and ``cancel_token``
         are checked once per wavefront, mirroring the executors'
         cooperative-cancellation points.
@@ -171,16 +276,16 @@ class StreamingSolver:
         )
         sched = strategy.schedule
         pattern = sched.pattern
-        deltas = _DELTAS[pattern]
-        for nb in problem.contributing:
-            if nb not in deltas:
-                raise ExecutionError(  # pragma: no cover - registry prevents it
-                    f"pattern {pattern.value} cannot stream neighbour {nb.value}"
-                )
-        window = max(deltas[nb] for nb in problem.contributing)
+        window = stream_window(pattern, problem.contributing)
 
         fr, fc = problem.fixed_rows, problem.fixed_cols
         rows, cols = problem.shape
+        for i, j in track or ():
+            if not (fr <= i < rows and fc <= j < cols):
+                raise ExecutionError(
+                    f"tracked cell {(i, j)} lies outside the computed region "
+                    f"rows [{fr}, {rows}) x cols [{fc}, {cols})"
+                )
         top = np.zeros((fr, cols), dtype=problem.dtype)
         left = np.zeros((rows, fc), dtype=problem.dtype)
         if problem.init is not None:
@@ -195,101 +300,30 @@ class StreamingSolver:
         )
         tracked: dict[tuple[int, int], Any] = {}
         reduced = self.reduce_init
-        buffers: dict[int, np.ndarray] = {}
+        kept: dict[int, np.ndarray] = {}
         peak = 0
-
-        # Compiled plan: caches per-wavefront global indices, the
-        # top/left/in-window source splits and the canonical in-window
-        # positions, so steady-state wavefronts skip every mask and
-        # position_of computation (counted as kernels.span.fast).
-        plan = plan_for(problem, sched) if kernel_fastpath else None
-        metrics = get_metrics()
-        fast_spans = metrics.counter("kernels.span.fast")
-        generic_spans = metrics.counter("kernels.span.generic")
-
-        tracer = get_tracer()
-        root = tracer.span(
+        what = f"solve of {problem.name!r}"
+        root = get_tracer().span(
             "streaming.solve", cat="executor",
             problem=problem.name, pattern=pattern.value, window=window,
         )
         gi = gj = values = None
-        for t in range(sched.num_iterations):
-            if deadline is not None or cancel_token is not None:
-                try:
-                    raise_if_cancelled(
-                        deadline, cancel_token, f"solve of {problem.name!r}"
-                    )
-                except (ServiceTimeout, SolveCancelled):
-                    root.end()  # close the span on the abort path
-                    raise
-            if sched.width(t) == 0:
-                continue
-            kwargs: dict[str, np.ndarray | None] = {
-                "w": None, "nw": None, "n": None, "ne": None
-            }
-            if plan is not None:
-                gi, gj, geo = plan.window_geometry(t)
-                wf = tracer.span(
-                    "wavefront", cat="wavefront", t=t, width=int(gi.shape[0]),
-                )
-                fast_spans.inc()
-                for nb in problem.contributing:
-                    g = geo[nb.value.lower()]
-                    vals = np.full(
-                        gi.shape, problem.oob_value, dtype=problem.dtype
-                    )
-                    if g.top_i.size:
-                        vals[g.top] = top[g.top_i, g.top_j]
-                    if g.left_i.size:
-                        vals[g.left] = left[g.left_i, g.left_j]
-                    if g.win_pos.size:
-                        vals[g.win] = buffers[t - deltas[nb]][g.win_pos]
-                    kwargs[nb.value.lower()] = vals
-            else:
-                ci, cj = sched.cells(t)
-                wf = tracer.span(
-                    "wavefront", cat="wavefront", t=t, width=int(ci.shape[0]),
-                )
-                generic_spans.inc()
-                gi = ci + fr
-                gj = cj + fc
-                for nb in problem.contributing:
-                    di, dj = nb.offset
-                    ni, nj = gi + di, gj + dj
-                    vals = np.full(gi.shape, problem.oob_value, dtype=problem.dtype)
-                    oob = (ni < 0) | (ni >= rows) | (nj < 0) | (nj >= cols)
-                    in_top = ~oob & (ni < fr)
-                    in_left = ~oob & (ni >= fr) & (nj < fc)
-                    in_window = ~oob & (ni >= fr) & (nj >= fc)
-                    if in_top.any():
-                        vals[in_top] = top[ni[in_top], nj[in_top]]
-                    if in_left.any():
-                        vals[in_left] = left[ni[in_left], nj[in_left]]
-                    if in_window.any():
-                        src_t = t - deltas[nb]
-                        pos = sched.position_of(ni[in_window] - fr, nj[in_window] - fc)
-                        vals[in_window] = buffers[src_t][pos]
-                    kwargs[nb.value.lower()] = vals
-            ctx = EvalContext(
-                i=gi, j=gj, payload=problem.payload, aux=aux, **kwargs
-            )
-            values = np.asarray(problem.cell(ctx)).astype(problem.dtype, copy=False)
-
-            buffers[t] = values
-            stale = t - window
-            if stale in buffers:
-                del buffers[stale]
-            peak = max(peak, sum(b.shape[0] for b in buffers.values()))
-
-            if self.reduce is not None:
-                reduced = self.reduce(reduced, values)
-            if track_keys is not None:
-                hits = np.isin(gi * cols + gj, track_keys)
-                for k in np.nonzero(hits)[0]:
-                    tracked[(int(gi[k]), int(gj[k]))] = values[k]
-            wf.end()
-
-        root.end()
+        try:
+            for _, gi, gj, values in sweep(
+                problem, sched, plan_for(problem, sched), top, left[fr:], aux,
+                lambda: raise_if_cancelled(deadline, cancel_token, what),
+                kept=kept,
+            ):
+                peak = max(peak, sum(b.shape[0] for b in kept.values()))
+                if self.reduce is not None:
+                    reduced = self.reduce(reduced, values)
+                if track_keys is not None:
+                    hits = np.isin(gi * cols + gj, track_keys)
+                    for k in np.nonzero(hits)[0]:
+                        tracked[(int(gi[k]), int(gj[k]))] = values[k]
+        finally:
+            root.end()  # also closes a wavefront span left open by an abort
+        metrics = get_metrics()
         metrics.counter("exec.streaming.cells").inc(problem.total_computed_cells)
         metrics.gauge("exec.streaming.peak_cells").set(peak)
         return StreamingResult(
@@ -301,4 +335,5 @@ class StreamingSolver:
             reduced=reduced,
             peak_cells=peak,
             total_cells=problem.total_computed_cells,
+            aux=aux,
         )

@@ -16,7 +16,7 @@ and buffer — the stacked tier of :mod:`repro.batch` (``docs/batching.md``).
 
 from .cache import PlanCache, clear_plan_cache, get_plan_cache, plan_for
 from .key import PlanKey
-from .plan import KernelPlan, generic_span
+from .plan import KernelPlan, evaluate_cells, generic_span, read_geometry
 
 __all__ = [
     "KernelPlan",
@@ -26,4 +26,6 @@ __all__ = [
     "get_plan_cache",
     "clear_plan_cache",
     "generic_span",
+    "evaluate_cells",
+    "read_geometry",
 ]

@@ -42,6 +42,14 @@ are elementwise-pure by contract, so splitting a wavefront into
 boundary/interior sub-batches cannot change any value — tables stay
 bit-for-bit identical to the sequential oracle (asserted by hypothesis
 property tests across all six patterns).
+
+The two executors that store wavefronts contiguously (the streaming solver
+and ``cpu-wavefront-major``, both through
+:func:`repro.exec.streaming.sweep`) never touch a 2-D table. For them
+:func:`read_geometry` splits each neighbour's reads into fixed-boundary
+lanes (offsets into one packed boundary vector) and earlier-wavefront lanes
+(canonical positions), and :meth:`KernelPlan.read_geometry` memoises that
+split per wavefront.
 """
 
 from __future__ import annotations
@@ -56,18 +64,21 @@ from ..faults import check_fault
 from ..types import ContributingSet
 from .key import PlanKey
 
-__all__ = ["KernelPlan", "generic_span"]
+__all__ = ["KernelPlan", "evaluate_cells", "generic_span", "read_geometry"]
 
 
 def generic_span(problem, schedule, table, aux, t, lo, hi, orow, ocol) -> int:
-    """The generic masked path: gather -> cell function -> scatter.
+    """The generic masked path over span ``[lo, hi)`` of wavefront ``t``.
 
     ``orow``/``ocol`` give the global table offset of the schedule's region
     (the fixed boundary, plus a block origin for tiled executors).
     """
     ci, cj = schedule.cells(t)
-    gi = ci[lo:hi] + orow
-    gj = cj[lo:hi] + ocol
+    return evaluate_cells(problem, table, aux, ci[lo:hi] + orow, cj[lo:hi] + ocol)
+
+
+def evaluate_cells(problem, table, aux, gi, gj) -> int:
+    """Gather -> cell function -> scatter for the global cells ``(gi, gj)``."""
     nb = gather_neighbors(table, problem.contributing, gi, gj, problem.oob_value)
     ctx = EvalContext(
         i=gi, j=gj, w=nb["w"], nw=nb["nw"], n=nb["n"], ne=nb["ne"],
@@ -75,7 +86,7 @@ def generic_span(problem, schedule, table, aux, t, lo, hi, orow, ocol) -> int:
     )
     values = problem.cell(ctx)
     table[gi, gj] = values
-    return hi - lo
+    return gi.shape[0]
 
 
 def _flat_slice(start: int, step: int, n: int) -> slice:
@@ -96,23 +107,58 @@ class _SpanSpec:
     )
 
 
-class _NbWindow:
-    """Per-neighbour streaming-window geometry (see ``window_geometry``)."""
+class _NbReads:
+    """One neighbour's reads of one wavefront (see :func:`read_geometry`)."""
 
-    __slots__ = ("top", "top_i", "top_j", "left", "left_i", "left_j",
-                 "win", "win_pos")
-
-
-class _NbLayout:
-    """Per-neighbour wavefront-major geometry (see ``layout_geometry``)."""
-
-    __slots__ = ("fixed", "fixed_i", "fixed_j", "win", "win_flat")
+    __slots__ = ("nb", "name", "fixed", "fixed_off", "win", "win_pos")
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr = np.ascontiguousarray(arr)
     arr.flags.writeable = False
     return arr
+
+
+def read_geometry(schedule, members, table_shape, origin, gi, gj):
+    """Split every neighbour read of the global cells ``(gi, gj)`` by source.
+
+    ``origin`` is the fixed boundary ``(fixed_rows, fixed_cols)`` and
+    ``schedule`` covers the computed region behind it. Per neighbour in
+    ``members`` the result holds two lane masks over the wavefront:
+
+    * ``fixed`` lanes read the packed boundary vector at ``fixed_off`` —
+      the fixed top rows row-major, then the fixed left columns of the
+      rows below them, also row-major;
+    * ``win`` lanes read an earlier wavefront at the source cell's
+      canonical position ``win_pos`` within it.
+
+    Every other lane is out of the table and reads the oob value. Returns a
+    tuple of ``_NbReads``, one per neighbour.
+    """
+    R, C = table_shape
+    fr, fc = origin
+    out = []
+    for nb in members:
+        di, dj = nb.offset
+        ni = gi + di
+        nj = gj + dj
+        oob = (ni < 0) | (ni >= R) | (nj < 0) | (nj >= C)
+        fixed = ~oob & ((ni < fr) | (nj < fc))
+        win = ~oob & ~fixed
+        fi, fj = ni[fixed], nj[fixed]
+        g = _NbReads()
+        g.nb = nb
+        g.name = nb.value.lower()
+        g.fixed = _frozen(fixed)
+        g.fixed_off = _frozen(np.where(
+            fi < fr, fi * C + fj, fr * C + (fi - fr) * fc + fj
+        ).astype(np.int64, copy=False))
+        g.win = _frozen(win)
+        g.win_pos = _frozen(np.asarray(schedule.position_of(
+            ni[win] - fr, nj[win] - fc
+        ), dtype=np.int64))
+        out.append(g)
+    return tuple(out)
 
 
 class KernelPlan:
@@ -143,8 +189,7 @@ class KernelPlan:
         self.oob_value = oob_value
         self._specs: dict[int, _SpanSpec] = {}
         self._cells: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._window: dict[int, dict[str, _NbWindow]] = {}
-        self._layout: dict[int, dict[str, _NbLayout]] = {}
+        self._reads: dict[int, tuple[_NbReads, ...]] = {}
         self._compile_lock = threading.Lock()
         self._tls = threading.local()
 
@@ -522,90 +567,24 @@ class KernelPlan:
         table[gi, gj] = problem.cell(ctx)
         return n
 
-    # -- cached geometry for the streaming / layout executors ---------------
+    # -- cached read geometry for the wavefront-major sweep ----------------
 
-    def window_geometry(self, t: int):
-        """Cached rolling-window read geometry for the streaming solver.
+    def read_geometry(self, t: int):
+        """``(gi, gj, reads)`` of wavefront ``t``, memoised per wavefront.
 
-        Returns ``(gi, gj, {neighbour-name: _NbWindow})`` where each entry
-        splits the neighbour reads into fixed-top / fixed-left / in-window
-        sources, with the in-window canonical positions precomputed. Only
-        meaningful for plans whose origin is the fixed boundary itself.
+        ``reads`` is :func:`read_geometry` of the wavefront's global cells.
+        Only meaningful for plans whose origin is the fixed boundary itself.
         """
-        geo = self._window.get(t)
+        geo = self._reads.get(t)
         if geo is None:
             with self._compile_lock:
-                geo = self._window.get(t)
+                geo = self._reads.get(t)
                 if geo is None:
-                    geo = self._compile_window(t)
-                    self._window[t] = geo
+                    gi, gj = self._global_cells(t)
+                    geo = read_geometry(
+                        self.schedule, self.members, self.table_shape,
+                        (self.orow, self.ocol), gi, gj,
+                    )
+                    self._reads[t] = geo
         gi, gj = self._global_cells(t)
         return gi, gj, geo
-
-    def _compile_window(self, t: int) -> dict[str, _NbWindow]:
-        R, C = self.table_shape
-        fr, fc = self.orow, self.ocol
-        gi, gj = self._global_cells(t)
-        out: dict[str, _NbWindow] = {}
-        for nb in self.members:
-            di, dj = nb.offset
-            ni = gi + di
-            nj = gj + dj
-            oob = (ni < 0) | (ni >= R) | (nj < 0) | (nj >= C)
-            g = _NbWindow()
-            in_top = ~oob & (ni < fr)
-            in_left = ~oob & (ni >= fr) & (nj < fc)
-            in_win = ~oob & (ni >= fr) & (nj >= fc)
-            g.top = _frozen(in_top)
-            g.top_i = _frozen(ni[in_top])
-            g.top_j = _frozen(nj[in_top])
-            g.left = _frozen(in_left)
-            g.left_i = _frozen(ni[in_left])
-            g.left_j = _frozen(nj[in_left])
-            g.win = _frozen(in_win)
-            g.win_pos = _frozen(np.asarray(self.schedule.position_of(
-                ni[in_win] - fr, nj[in_win] - fc
-            ), dtype=np.int64))
-            out[nb.value.lower()] = g
-        return out
-
-    def layout_geometry(self, t: int, address):
-        """Cached read geometry for the wavefront-major executor.
-
-        Returns ``(gi, gj, {neighbour-name: _NbLayout})``: per neighbour, the
-        fixed-boundary reads (2-D table) and the wavefront-major flat offsets
-        of the computed-region reads, resolved through ``address``
-        (an :class:`~repro.memory.address.AddressMap` of this schedule).
-        """
-        geo = self._layout.get(t)
-        if geo is None:
-            with self._compile_lock:
-                geo = self._layout.get(t)
-                if geo is None:
-                    geo = self._compile_layout(t, address)
-                    self._layout[t] = geo
-        gi, gj = self._global_cells(t)
-        return gi, gj, geo
-
-    def _compile_layout(self, t: int, address) -> dict[str, _NbLayout]:
-        R, C = self.table_shape
-        fr, fc = self.orow, self.ocol
-        gi, gj = self._global_cells(t)
-        out: dict[str, _NbLayout] = {}
-        for nb in self.members:
-            di, dj = nb.offset
-            ni = gi + di
-            nj = gj + dj
-            oob = (ni < 0) | (ni >= R) | (nj < 0) | (nj >= C)
-            fixed = ~oob & ((ni < fr) | (nj < fc))
-            win = ~oob & ~fixed
-            g = _NbLayout()
-            g.fixed = _frozen(fixed)
-            g.fixed_i = _frozen(ni[fixed])
-            g.fixed_j = _frozen(nj[fixed])
-            g.win = _frozen(win)
-            g.win_flat = _frozen(np.asarray(
-                address.flat_of(ni[win] - fr, nj[win] - fc), dtype=np.int64
-            ))
-            out[nb.value.lower()] = g
-        return out

@@ -52,20 +52,23 @@ class TestAgainstFullSolve:
 
     def test_dithering_aux_output_still_full(self):
         """Aux outputs stay full-size (they are the *product*)."""
+        from repro.problems import reference_dithering
+
         p = make_dithering(20, 26, seed=5)
         full = FW.solve(p, executor="sequential")
         s = StreamingSolver().solve(p)
-        # aux is written through ctx: re-run to collect it
-        # (streaming evaluates every cell exactly once, so aux is complete)
-        from repro.problems import reference_dithering
-
         out_ref, _ = reference_dithering(p.payload["image"])
-        # the solver's own aux copy:
-        # re-solve with track to access aux? aux lives inside solve();
-        # easiest check: outputs are identical across two streaming runs
-        s2 = StreamingSolver().solve(p)
-        assert np.array_equal(s.last_values, s2.last_values)
+        assert np.array_equal(s.aux["output"], out_ref)
         assert np.array_equal(full.table[s.last_cells], s.last_values)
+
+    @pytest.mark.parametrize(
+        "track", [[(0, 8), (-1, -1)], [(0, 0)], [(2, 3), (5, 1)], [(1, 7)]],
+    )
+    def test_track_outside_computed_region_rejected(self, track):
+        """Off-region cells must not alias onto a computed cell."""
+        p = make_levenshtein(4, 6)  # 5x7 table, computed rows/cols 1..
+        with pytest.raises(ExecutionError, match="tracked cell"):
+            StreamingSolver().solve(p, track=track)
 
     def test_gotoh_structured_boundary(self):
         """Structured-dtype boundary init works through the recorder."""
