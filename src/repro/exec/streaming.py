@@ -97,8 +97,8 @@ def sweep(
 
     Storage policy: with ``flat`` (wavefront-major, ``problem``'s dtype)
     every wavefront is written to its contiguous slice and every slice is
-    kept; without it only the last :func:`stream_window` wavefronts are
-    kept. ``kept`` is the caller's view of that storage.
+    kept; without it the last :func:`stream_window` wavefronts plus the
+    yielded one are kept. ``kept`` is the caller's view of that storage.
 
     ``plan`` memoises the read geometry per wavefront
     (``kernels.span.fast``); without one the same geometry is derived per
@@ -152,10 +152,10 @@ def sweep(
                 flat[off:off + w] = values
                 values = flat[off:off + w]
                 off += w
-            else:
-                kept.pop(t - window, None)
             kept[t] = values
             yield t, gi, gj, values
+        if flat is None:  # after the yield: the caller sees t's peak
+            kept.pop(t - window, None)
 
 
 class _BoundaryRecorder:

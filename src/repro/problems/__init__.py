@@ -24,6 +24,10 @@ Every factory accepts ``materialize=False`` to skip allocating the payload
 ``estimate`` mode — that is how benchmarks sweep paper-scale tables (16k+)
 without gigabyte allocations. A ``payload['_nbytes_hint']`` entry preserves
 correct setup-transfer byte accounting.
+
+Every factory's ``cell`` and ``init`` are module-level functions that read
+their data from the payload, never from a closure, so every problem pickles
+and the serve process backend runs it in a worker, not inline.
 """
 
 from .levenshtein import make_levenshtein, reference_levenshtein

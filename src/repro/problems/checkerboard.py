@@ -28,6 +28,10 @@ def checkerboard_cell(ctx: EvalContext) -> np.ndarray:
     return cost[ctx.i, ctx.j] + best
 
 
+def _init(table: np.ndarray, payload) -> None:
+    table[0, :] = payload["cost"][0, :]
+
+
 def make_checkerboard(
     n: int,
     cols: int | None = None,
@@ -36,23 +40,17 @@ def make_checkerboard(
 ) -> LDDPProblem:
     """Minimum-cost path table over a random cost board."""
     cols = n if cols is None else cols
-
-    def init(table: np.ndarray, payload) -> None:
-        table[0, :] = payload["cost"][0, :]
-
     if materialize:
         rng = np.random.default_rng(seed)
         payload = {"cost": rng.uniform(0.0, 10.0, size=(n, cols))}
-        init_fn = init
     else:
         payload = {"_nbytes_hint": n * cols * 8}
-        init_fn = None
     return LDDPProblem(
         name=f"checkerboard-{n}x{cols}",
         shape=(n, cols),
         contributing=ContributingSet.of("NW", "N", "NE"),
         cell=checkerboard_cell,
-        init=init_fn,
+        init=_init if materialize else None,
         fixed_rows=1,
         dtype=np.dtype(np.float64),
         payload=payload,

@@ -27,6 +27,28 @@ from ..types import ContributingSet
 __all__ = ["make_gauss_seidel_sweep", "reference_gs_sweep", "gs_solve", "residual"]
 
 
+def _init(table: np.ndarray, payload) -> None:
+    old = payload["old"]
+    table[0, :] = old[0, :]
+    table[:, 0] = old[:, 0]
+    # trailing boundary is never computed (fixed_rows/cols only cover the
+    # leading edges); write it up front — the sweep range excludes it
+    table[-1, :] = old[-1, :]
+    table[:, -1] = old[:, -1]
+
+
+def _cell(ctx) -> np.ndarray:
+    old, h2f = ctx.payload["old"], ctx.payload["h2f"]
+    rows, cols = old.shape
+    # the last row/column belong to the boundary: leave them untouched
+    # (east/south reads are clipped so the boundary batch stays in range)
+    interior = (ctx.i < rows - 1) & (ctx.j < cols - 1)
+    east = old[ctx.i, np.minimum(ctx.j + 1, cols - 1)]
+    south = old[np.minimum(ctx.i + 1, rows - 1), ctx.j]
+    updated = 0.25 * (ctx.w + ctx.n + east + south + h2f[ctx.i, ctx.j])
+    return np.where(interior, updated, old[ctx.i, ctx.j])
+
+
 def make_gauss_seidel_sweep(
     old: np.ndarray,
     h2f: np.ndarray,
@@ -40,33 +62,14 @@ def make_gauss_seidel_sweep(
     """
     if old.shape != h2f.shape:
         raise ValueError("old and h2f shapes differ")
-    rows, cols = old.shape
-    if rows < 3 or cols < 3:
+    if min(old.shape) < 3:
         raise ValueError("need at least one interior point")
-
-    def init(table: np.ndarray, payload) -> None:
-        table[0, :] = old[0, :]
-        table[:, 0] = old[:, 0]
-        # trailing boundary is never computed (fixed_rows/cols only cover the
-        # leading edges); write it up front — the sweep range excludes it
-        table[-1, :] = old[-1, :]
-        table[:, -1] = old[:, -1]
-
-    def cell(ctx):
-        # the last row/column belong to the boundary: leave them untouched
-        # (east/south reads are clipped so the boundary batch stays in range)
-        interior = (ctx.i < rows - 1) & (ctx.j < cols - 1)
-        east = old[ctx.i, np.minimum(ctx.j + 1, cols - 1)]
-        south = old[np.minimum(ctx.i + 1, rows - 1), ctx.j]
-        updated = 0.25 * (ctx.w + ctx.n + east + south + h2f[ctx.i, ctx.j])
-        return np.where(interior, updated, old[ctx.i, ctx.j])
-
     return LDDPProblem(
         name=name,
         shape=old.shape,
         contributing=ContributingSet.of("W", "N"),
-        cell=cell,
-        init=init,
+        cell=_cell,
+        init=_init,
         fixed_rows=1,
         fixed_cols=1,
         dtype=np.dtype(np.float64),

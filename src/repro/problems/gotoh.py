@@ -47,6 +47,18 @@ def gotoh_cell(ctx: EvalContext) -> np.ndarray:
     return out
 
 
+def _init(table: np.ndarray, payload) -> None:
+    open_ = payload["gap_open"]
+    extend = payload["gap_extend"]
+    table["m"][0, :] = NEG
+    table["m"][:, 0] = NEG
+    table["m"][0, 0] = 0.0
+    table["ix"][0, :] = NEG
+    table["iy"][:, 0] = NEG
+    table["iy"][0, 1:] = open_ + np.arange(table.shape[1] - 1) * extend
+    table["ix"][1:, 0] = open_ + np.arange(table.shape[0] - 1) * extend
+
+
 def make_gotoh(
     m: int,
     n: int | None = None,
@@ -63,18 +75,6 @@ def make_gotoh(
     The final alignment score is ``max over fields of table[-1, -1]``.
     """
     n = m if n is None else n
-
-    def init(table: np.ndarray, payload) -> None:
-        table["m"][0, :] = NEG
-        table["m"][:, 0] = NEG
-        table["m"][0, 0] = 0.0
-        table["ix"][0, :] = NEG
-        table["iy"][:, 0] = NEG
-        js = np.arange(1, table.shape[1])
-        table["iy"][0, 1:] = gap_open + (js - 1) * gap_extend
-        iis = np.arange(1, table.shape[0])
-        table["ix"][1:, 0] = gap_open + (iis - 1) * gap_extend
-
     if materialize:
         rng = np.random.default_rng(seed)
         payload = {
@@ -85,16 +85,14 @@ def make_gotoh(
             "gap_open": gap_open,
             "gap_extend": gap_extend,
         }
-        init_fn = init
     else:
         payload = {"_nbytes_hint": m + n}
-        init_fn = None
     return LDDPProblem(
         name=f"gotoh-{m}x{n}",
         shape=(m + 1, n + 1),
         contributing=ContributingSet.of("W", "NW", "N"),
         cell=gotoh_cell,
-        init=init_fn,
+        init=_init if materialize else None,
         fixed_rows=1,
         fixed_cols=1,
         dtype=GOTOH_DTYPE,

@@ -31,6 +31,11 @@ def nw_cell(ctx: EvalContext) -> np.ndarray:
     return np.maximum(np.maximum(ctx.nw + s, ctx.n + gap), ctx.w + gap)
 
 
+def _init(table: np.ndarray, payload) -> None:
+    table[0, :] = payload["gap"] * np.arange(table.shape[1])
+    table[:, 0] = payload["gap"] * np.arange(table.shape[0])
+
+
 def make_needleman_wunsch(
     m: int,
     n: int | None = None,
@@ -43,11 +48,6 @@ def make_needleman_wunsch(
 ) -> LDDPProblem:
     """Global alignment score table for two random sequences."""
     n = m if n is None else n
-
-    def init(table: np.ndarray, payload) -> None:
-        table[0, :] = gap * np.arange(table.shape[1])
-        table[:, 0] = gap * np.arange(table.shape[0])
-
     if materialize:
         rng = np.random.default_rng(seed)
         payload = {
@@ -57,16 +57,14 @@ def make_needleman_wunsch(
             "mismatch": mismatch,
             "gap": gap,
         }
-        init_fn = init
     else:
         payload = {"_nbytes_hint": m + n}
-        init_fn = None
     return LDDPProblem(
         name=f"needleman-wunsch-{m}x{n}",
         shape=(m + 1, n + 1),
         contributing=ContributingSet.of("W", "NW", "N"),
         cell=nw_cell,
-        init=init_fn,
+        init=_init if materialize else None,
         fixed_rows=1,
         fixed_cols=1,
         dtype=np.dtype(np.int32),

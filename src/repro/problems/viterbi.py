@@ -38,6 +38,11 @@ def viterbi_cell(ctx: EvalContext) -> np.ndarray:
     return emit[j, obs[t]] + np.maximum(from_stay, from_prev)
 
 
+def _init(table: np.ndarray, payload) -> None:
+    table[0, :] = NEG
+    table[0, 0] = 0.0  # must start in state 0 (left-to-right)
+
+
 def make_viterbi(
     T: int,
     states: int | None = None,
@@ -62,21 +67,14 @@ def make_viterbi(
             "obs": rng.integers(0, symbols, T),
             "states": states,
         }
-
-        def init(table, payload):
-            table[0, :] = NEG
-            table[0, 0] = 0.0  # must start in state 0 (left-to-right)
-
-        init_fn = init
     else:
         payload = {"_nbytes_hint": states * symbols * 8 + T}
-        init_fn = None
     return LDDPProblem(
         name=f"viterbi-{T}x{states}",
         shape=(T + 1, states),
         contributing=ContributingSet.of("NW", "N"),
         cell=viterbi_cell,
-        init=init_fn,
+        init=_init if materialize else None,
         fixed_rows=1,
         dtype=np.dtype(np.float64),
         payload=payload,

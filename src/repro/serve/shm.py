@@ -38,6 +38,7 @@ import weakref
 from multiprocessing import shared_memory
 
 import numpy as np
+from numpy.lib.format import descr_to_dtype, dtype_to_descr
 
 from ..exec.base import SolveResult
 from ..lru import LRU
@@ -141,7 +142,7 @@ def _pack_specs(result: SolveResult) -> tuple[list, int]:
     for fieldname, key, arr in arrays:
         offset = _aligned(offset)
         specs.append(
-            [fieldname, key, offset, list(arr.shape), np.dtype(arr.dtype).str]
+            [fieldname, key, offset, list(arr.shape), dtype_to_descr(arr.dtype)]
         )
         offset += arr.nbytes
     return specs, offset
@@ -165,7 +166,7 @@ def export_result(result: SolveResult) -> tuple[SolveResult, dict | None]:
         for fieldname, key, offset, shape, dtype in specs:
             src = result.table if fieldname == "table" else result.aux[key]
             dst = np.ndarray(
-                tuple(shape), dtype=np.dtype(dtype), buffer=shm.buf,
+                tuple(shape), dtype=descr_to_dtype(dtype), buffer=shm.buf,
                 offset=offset,
             )
             dst[...] = src
@@ -200,7 +201,7 @@ def materialize_result(
     aux: dict[str, np.ndarray] = {}
     for fieldname, key, offset, shape, dtype in descriptor["arrays"]:
         view = np.ndarray(
-            tuple(shape), dtype=np.dtype(dtype), buffer=seg.buf,
+            tuple(shape), dtype=descr_to_dtype(dtype), buffer=seg.buf,
             offset=offset,
         )
         view.flags.writeable = False

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import gc
 import os
+import pickle
 import signal
 import time
 
@@ -24,6 +25,7 @@ from repro.exec import SequentialExecutor
 from repro.exec.base import register_executor, unregister_executor
 from repro.faults import inject_faults
 from repro.machine.platform import hetero_high, hetero_low
+import repro.problems
 from repro.problems import make_lcs, make_levenshtein
 from repro.serve import ServiceConfig, SolveRequest, SolveService
 from repro.serve.shm import live_segment_count
@@ -290,3 +292,50 @@ def test_backend_parity_tables_and_routes(backend, shape):
             assert got.stats.get("route") == ref.stats.get("route")
             assert got.stats.get("batched", 1) == len(problems)
         assert bool(results[0].stats.get("route")) == bool(spec)
+
+
+def _gs_arrays(n: int = 12):
+    rng = np.random.default_rng(0)
+    return rng.uniform(0, 1, (n, n)), rng.normal(size=(n, n)) / (n - 1) ** 2
+
+
+# one small argument builder per shipped factory; a factory added to
+# repro.problems without one here fails the test below
+FACTORY_ARGS = {
+    "make_checkerboard": lambda: (20,),
+    "make_diffusion": lambda: (20,),
+    "make_dithering": lambda: (20,),
+    "make_dtw": lambda: (20,),
+    "make_fig8_problem": lambda: (20,),
+    "make_fig9_problem": lambda: (20,),
+    "make_gauss_seidel_sweep": _gs_arrays,
+    "make_gotoh": lambda: (20,),
+    "make_lcs": lambda: (20,),
+    "make_lcsubstr": lambda: (20,),
+    "make_levenshtein": lambda: (20,),
+    "make_linear": lambda: (20,),
+    "make_needleman_wunsch": lambda: (20,),
+    "make_prefix_sum": lambda: (20,),
+    "make_smith_waterman": lambda: (20,),
+    "make_synthetic": lambda: (ContributingSet.of("W", "NW", "N"), 20),
+    "make_viterbi": lambda: (20,),
+}
+
+FACTORIES = sorted(name for name in repro.problems.__all__
+                   if name.startswith("make_"))
+
+
+@pytest.mark.parametrize("factory", FACTORIES)
+def test_every_shipped_problem_crosses_the_process_boundary(factory):
+    """Every shipped factory pickles, so the process backend never runs it
+    on the parent's dispatch thread."""
+    assert factory in FACTORY_ARGS, f"no argument builder for {factory}"
+    problem = getattr(repro.problems, factory)(*FACTORY_ARGS[factory]())
+    copy = pickle.loads(pickle.dumps(problem))
+    oracle = Framework(hetero_high()).solve(copy, executor="sequential")
+    with SolveService(hetero_high(), config=PROCESS) as svc:
+        # sequential in the worker too: the float scan tier (diffusion) is
+        # tolerance-checked, not bit-exact, against the wavefront order
+        result = svc.solve(problem, executor="sequential")
+        assert np.array_equal(result.table, oracle.table)
+        assert svc.stats()["backend"]["inline_fallbacks"] == 0

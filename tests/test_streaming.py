@@ -103,8 +103,9 @@ class TestMemoryBehaviour:
     def test_peak_is_window_bounded(self):
         p = make_levenshtein(256, 256, seed=8)
         s = StreamingSolver().solve(p, track=[corner(p)])
-        # anti-diagonal window = 2 previous + current = 3 wavefronts max
-        assert s.peak_cells <= 3 * 257
+        # anti-diagonal window = 2 previous + current = 3 wavefronts max;
+        # the widest three hold 255 + 256 + 255 cells
+        assert s.peak_cells == 3 * 256 - 2
         assert s.memory_fraction < 0.02
 
     def test_knight_window_three(self):
